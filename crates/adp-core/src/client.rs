@@ -16,6 +16,7 @@
 
 use crate::errors::VerifyError;
 use crate::owner::Certificate;
+use crate::plan::{verify_plan, PlanVerified, WirePlan};
 use crate::publisher::{PublishError, Publisher};
 use crate::verifier::{verify_select_wire, VerifyReport};
 use crate::wire;
@@ -87,6 +88,71 @@ impl SessionStats {
             100.0 * self.vo_bytes as f64 / self.result_bytes as f64
         }
     }
+
+    /// Runs `verify` over one encoded answer and, if it accepts, folds the
+    /// answer's cost — bytes, the `(rows, signatures)` it reports, hash
+    /// operations and wall-clock time — into the session. Returns the
+    /// verifier's output and the time it took.
+    fn account<T>(
+        &mut self,
+        result_bytes: &[u8],
+        vo_bytes: &[u8],
+        verify: impl FnOnce() -> Result<(T, usize, usize), VerifyError>,
+    ) -> Result<(T, Duration), VerifyError> {
+        let ops_before = adp_crypto::hash_ops();
+        let start = Instant::now();
+        let (verified, rows, signatures) = verify()?;
+        let elapsed = start.elapsed();
+        self.queries += 1;
+        self.rows_verified += rows;
+        self.result_bytes += result_bytes.len();
+        self.vo_bytes += vo_bytes.len();
+        self.signatures_verified += signatures;
+        self.hash_ops += adp_crypto::hash_ops().saturating_sub(ops_before);
+        self.verify_time += elapsed;
+        Ok((verified, elapsed))
+    }
+
+    /// Verifies one encoded select answer against `cert` and accounts for
+    /// it: the step every verifying client (in-process, remote, range
+    /// subscriber) performs on bytes it does not trust.
+    pub fn verify_select(
+        &mut self,
+        cert: &Certificate,
+        query: &SelectQuery,
+        result_bytes: &[u8],
+        vo_bytes: &[u8],
+    ) -> Result<VerifiedResult, VerifyError> {
+        self.account(result_bytes, vo_bytes, || {
+            let (rows, report) = verify_select_wire(cert, query, result_bytes, vo_bytes)?;
+            let (matched, signatures) = (report.matched, report.signatures_verified);
+            let verified = VerifiedResult {
+                rows,
+                report,
+                result_bytes: result_bytes.len(),
+                vo_bytes: vo_bytes.len(),
+            };
+            Ok((verified, matched, signatures))
+        })
+        .map(|(verified, _)| verified)
+    }
+
+    /// Verifies one encoded planned answer (select or pk-fk join) against
+    /// the certificates `cert_of` trusts and accounts for it; also returns
+    /// the verification time.
+    pub fn verify_plan<'a>(
+        &mut self,
+        plan: &WirePlan,
+        cert_of: impl Fn(u32) -> Option<&'a Certificate>,
+        result_bytes: &[u8],
+        vo_bytes: &[u8],
+    ) -> Result<(PlanVerified, Duration), VerifyError> {
+        self.account(result_bytes, vo_bytes, || {
+            let verified = verify_plan(plan, cert_of, result_bytes, vo_bytes)?;
+            let (rows, signatures) = (verified.rows_verified, verified.signatures_verified);
+            Ok((verified, rows, signatures))
+        })
+    }
 }
 
 /// One verified answer.
@@ -134,23 +200,9 @@ impl Client {
         let (rows, vo) = publisher.answer_select(query)?;
         let result_bytes = wire::encode_records(&rows);
         let vo_bytes = wire::encode_vo(&vo);
-        let ops_before = adp_crypto::hash_ops();
-        let start = Instant::now();
-        let (rows, report) = verify_select_wire(&self.cert, query, &result_bytes, &vo_bytes)?;
-        let elapsed = start.elapsed();
-        self.stats.queries += 1;
-        self.stats.rows_verified += report.matched;
-        self.stats.result_bytes += result_bytes.len();
-        self.stats.vo_bytes += vo_bytes.len();
-        self.stats.signatures_verified += report.signatures_verified;
-        self.stats.hash_ops += adp_crypto::hash_ops().saturating_sub(ops_before);
-        self.stats.verify_time += elapsed;
-        Ok(VerifiedResult {
-            rows,
-            report,
-            result_bytes: result_bytes.len(),
-            vo_bytes: vo_bytes.len(),
-        })
+        Ok(self
+            .stats
+            .verify_select(&self.cert, query, &result_bytes, &vo_bytes)?)
     }
 
     /// Section 4.1: `K ≠ α` as `(L < K < α) ∪ (α < K < U)` — two verified

@@ -348,6 +348,12 @@ mod tests {
         c.read_exact(&mut got).unwrap();
         assert_eq!(&got, b"round trip");
         assert_eq!(proxy.stats().faults(), 0);
+        // The counter trails the write it counts, so the echo can land
+        // here before the pump has counted it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while proxy.stats().forwarded() < 20 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(proxy.stats().forwarded() >= 20);
         proxy.stop();
     }

@@ -15,15 +15,14 @@ use adp_core::client::{SessionStats, VerifiedResult};
 use adp_core::errors::VerifyError;
 use adp_core::owner::Certificate;
 use adp_core::passes::{Planned, Planner};
-use adp_core::plan::{verify_plan, Catalog, CatalogTable, SqlRows, WirePlan};
+use adp_core::plan::{Catalog, CatalogTable, SqlRows, WirePlan};
 use adp_core::sql::parse;
-use adp_core::verifier::verify_select_wire;
 use adp_relation::{KeyRange, Record, SelectQuery};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a remote call failed.
 #[derive(Debug)]
@@ -240,29 +239,35 @@ impl RemoteClient {
         table_id: u32,
         query: &SelectQuery,
     ) -> Result<(Vec<u8>, Vec<u8>), RemoteError> {
-        let request = Frame::QueryRequest {
+        self.query_blobs(&Frame::QueryRequest {
             table_id,
             query: query.clone(),
-        };
-        match self.call(&request)? {
-            Frame::QueryResponse { result, vo } => Ok((result, vo)),
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected QueryResponse")),
-        }
+        })
     }
 
     /// Executes a planned query (v6 `PlannedQuery` frame), returning the
-    /// *unverified* encoded `(result, vo)` blobs. Use [`SqlSession`] or
-    /// [`RemoteVerifier::query_sql`] unless you are measuring or proxying.
+    /// *unverified* encoded `(result, vo)` blobs. Use [`SqlSession`]
+    /// unless you are measuring or proxying.
     pub fn query_planned_raw(
         &mut self,
         plan: &WirePlan,
     ) -> Result<(Vec<u8>, Vec<u8>), RemoteError> {
-        let request = Frame::PlannedQuery { plan: plan.clone() };
-        match self.call(&request)? {
-            Frame::PlannedResponse { result, vo } => Ok((result, vo)),
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected PlannedResponse")),
+        self.query_blobs(&Frame::PlannedQuery { plan: plan.clone() })
+    }
+
+    /// One query round-trip: `QueryRequest` must be answered by
+    /// `QueryResponse`, `PlannedQuery` by `PlannedResponse` — the same two
+    /// blobs either way.
+    fn query_blobs(&mut self, request: &Frame) -> Result<(Vec<u8>, Vec<u8>), RemoteError> {
+        match (request, self.call(request)?) {
+            (Frame::QueryRequest { .. }, Frame::QueryResponse { result, vo })
+            | (Frame::PlannedQuery { .. }, Frame::PlannedResponse { result, vo }) => {
+                Ok((result, vo))
+            }
+            (_, Frame::Error { code, message }) => Err(RemoteError::Server { code, message }),
+            _ => Err(RemoteError::UnexpectedFrame(
+                "expected the response frame matching the query frame",
+            )),
         }
     }
 
@@ -357,7 +362,9 @@ impl RemoteVerifier {
         query: &SelectQuery,
     ) -> Result<(VerifiedResult, Vec<u8>, Vec<u8>), RemoteError> {
         let (result_bytes, vo_bytes) = self.client.query_raw(self.table_id, query)?;
-        let verified = self.verify_and_account(query, &result_bytes, &vo_bytes)?;
+        let verified = self
+            .stats
+            .verify_select(&self.cert, query, &result_bytes, &vo_bytes)?;
         Ok((verified, result_bytes, vo_bytes))
     }
 
@@ -377,59 +384,11 @@ impl RemoteVerifier {
             .map(|(query, reply)| {
                 let (result_bytes, vo_bytes) =
                     reply.map_err(|(code, message)| RemoteError::Server { code, message })?;
-                self.verify_and_account(query, &result_bytes, &vo_bytes)
+                Ok(self
+                    .stats
+                    .verify_select(&self.cert, query, &result_bytes, &vo_bytes)?)
             })
             .collect()
-    }
-
-    /// Parses, plans, executes, and verifies one SQL statement against the
-    /// bound table — the single-table convenience over [`SqlSession`]
-    /// (which also handles joins across several served tables). The
-    /// planner prices candidates with the default cost parameters and a
-    /// nominal row estimate; the *verification* is exact regardless.
-    pub fn query_sql(&mut self, sql: &str) -> Result<SqlOutcome, RemoteError> {
-        let mut catalog = Catalog::new();
-        catalog.add(CatalogTable::from_certificate(
-            self.table_id,
-            &self.cert,
-            1024,
-        ));
-        let planned = plan_sql(sql, &catalog)?;
-        let outcome = run_planned(&mut self.client, planned, |id| {
-            (id == self.table_id).then_some(&self.cert)
-        })?;
-        self.stats.queries += 1;
-        self.stats.rows_verified += outcome.rows_verified;
-        self.stats.result_bytes += outcome.result_bytes;
-        self.stats.vo_bytes += outcome.vo_bytes;
-        self.stats.signatures_verified += outcome.signatures_verified;
-        self.stats.verify_time += outcome.verify_time;
-        Ok(outcome)
-    }
-
-    fn verify_and_account(
-        &mut self,
-        query: &SelectQuery,
-        result_bytes: &[u8],
-        vo_bytes: &[u8],
-    ) -> Result<VerifiedResult, RemoteError> {
-        let ops_before = adp_crypto::hash_ops();
-        let start = Instant::now();
-        let (rows, report) = verify_select_wire(&self.cert, query, result_bytes, vo_bytes)?;
-        let elapsed = start.elapsed();
-        self.stats.queries += 1;
-        self.stats.rows_verified += report.matched;
-        self.stats.result_bytes += result_bytes.len();
-        self.stats.vo_bytes += vo_bytes.len();
-        self.stats.signatures_verified += report.signatures_verified;
-        self.stats.hash_ops += adp_crypto::hash_ops().saturating_sub(ops_before);
-        self.stats.verify_time += elapsed;
-        Ok(VerifiedResult {
-            rows,
-            report,
-            result_bytes: result_bytes.len(),
-            vo_bytes: vo_bytes.len(),
-        })
     }
 }
 
@@ -452,43 +411,6 @@ pub struct SqlOutcome {
     pub signatures_verified: usize,
     /// Wall-clock verification time.
     pub verify_time: Duration,
-}
-
-/// Parses and plans one statement (client-side only; no I/O).
-fn plan_sql(sql: &str, catalog: &Catalog) -> Result<Planned, RemoteError> {
-    let stmt = parse(sql).map_err(|e| RemoteError::Sql(e.to_string()))?;
-    Planner::default()
-        .plan(&stmt, catalog)
-        .map_err(|e| RemoteError::Sql(e.to_string()))
-}
-
-/// Sends the chosen plan, verifies the multi-relation VO against the
-/// trusted certificates, and applies the client-side residue.
-fn run_planned<'a, F>(
-    client: &mut RemoteClient,
-    planned: Planned,
-    cert_of: F,
-) -> Result<SqlOutcome, RemoteError>
-where
-    F: Fn(u32) -> Option<&'a Certificate>,
-{
-    let (result_bytes, vo_bytes) = client.query_planned_raw(&planned.chosen.wire)?;
-    let start = Instant::now();
-    let verified = verify_plan(&planned.chosen.wire, cert_of, &result_bytes, &vo_bytes)?;
-    let verify_time = start.elapsed();
-    let output = planned
-        .chosen
-        .finish(verified.rows)
-        .map_err(|e| RemoteError::Sql(e.to_string()))?;
-    Ok(SqlOutcome {
-        output,
-        planned,
-        result_bytes: result_bytes.len(),
-        vo_bytes: vo_bytes.len(),
-        rows_verified: verified.rows_verified,
-        signatures_verified: verified.signatures_verified,
-        verify_time,
-    })
 }
 
 /// A verifying SQL client over one connection and any number of served
@@ -572,15 +494,25 @@ impl SqlSession {
     /// [`RemoteError::Verify`], never as wrong rows.
     pub fn query_sql(&mut self, sql: &str) -> Result<SqlOutcome, RemoteError> {
         let planned = self.plan(sql)?;
+        let plan = &planned.chosen.wire;
+        let (result_bytes, vo_bytes) = self.client.query_planned_raw(plan)?;
         let certs = &self.certs;
-        let outcome = run_planned(&mut self.client, planned, |id| certs.get(&id))?;
-        self.stats.queries += 1;
-        self.stats.rows_verified += outcome.rows_verified;
-        self.stats.result_bytes += outcome.result_bytes;
-        self.stats.vo_bytes += outcome.vo_bytes;
-        self.stats.signatures_verified += outcome.signatures_verified;
-        self.stats.verify_time += outcome.verify_time;
-        Ok(outcome)
+        let (verified, verify_time) =
+            self.stats
+                .verify_plan(plan, |id| certs.get(&id), &result_bytes, &vo_bytes)?;
+        let output = planned
+            .chosen
+            .finish(verified.rows)
+            .map_err(|e| RemoteError::Sql(e.to_string()))?;
+        Ok(SqlOutcome {
+            output,
+            planned,
+            result_bytes: result_bytes.len(),
+            vo_bytes: vo_bytes.len(),
+            rows_verified: verified.rows_verified,
+            signatures_verified: verified.signatures_verified,
+            verify_time,
+        })
     }
 }
 
@@ -936,16 +868,10 @@ impl RemoteSubscriber {
             ));
         }
         let query = SelectQuery::range(KeyRange::closed(piece.lo, piece.hi));
-        let ops_before = adp_crypto::hash_ops();
-        let start = Instant::now();
-        let (rows, report) = verify_select_wire(&self.cert, &query, &piece.result, &piece.vo)?;
-        self.stats.queries += 1;
-        self.stats.rows_verified += report.matched;
-        self.stats.result_bytes += piece.result.len();
-        self.stats.vo_bytes += piece.vo.len();
-        self.stats.signatures_verified += report.signatures_verified;
-        self.stats.hash_ops += adp_crypto::hash_ops().saturating_sub(ops_before);
-        self.stats.verify_time += start.elapsed();
+        let rows = self
+            .stats
+            .verify_select(&self.cert, &query, &piece.result, &piece.vo)?
+            .rows;
         let stale: Vec<i64> = self
             .rows
             .range(piece.lo..=piece.hi)

@@ -86,4 +86,4 @@ pub use client::{
 pub use follow::{FollowError, FollowEvent, FollowStart, LogFollower, ResilientFollower};
 pub use protocol::{ErrorCode, Frame, ProtoError, StatsSnapshot};
 pub use retry::RetryPolicy;
-pub use server::{PlannedTamperFn, Server, ServerConfig, ServerHandle, TamperFn, UpdateError};
+pub use server::{Server, ServerConfig, ServerHandle, TamperFn, UpdateError};

@@ -462,7 +462,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             w.u32(*table_id);
             w.bytes(&wire::encode_query(query));
         }
-        Frame::QueryResponse { result, vo } => {
+        Frame::QueryResponse { result, vo } | Frame::PlannedResponse { result, vo } => {
             w.bytes(result);
             w.bytes(vo);
         }
@@ -563,10 +563,6 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
         }
         Frame::PlannedQuery { plan } => {
             w.bytes(&encode_wire_plan(plan));
-        }
-        Frame::PlannedResponse { result, vo } => {
-            w.bytes(result);
-            w.bytes(vo);
         }
     }
     w.into_bytes()
@@ -798,19 +794,6 @@ fn write_header(w: &mut impl Write, type_byte: u8, payload_len: usize) -> io::Re
     w.write_all(&header)
 }
 
-/// Writes a `QueryResponse` frame straight from borrowed blobs — the
-/// cache-hit hot path: no intermediate [`Frame`] and no blob copies, the
-/// slices go directly to the socket. Byte-identical to
-/// `write_frame(&Frame::QueryResponse { .. })`.
-pub fn write_query_response(w: &mut impl Write, result: &[u8], vo: &[u8]) -> io::Result<()> {
-    write_header(w, frame_type::QUERY_RESPONSE, 8 + result.len() + vo.len())?;
-    w.write_all(&(result.len() as u32).to_le_bytes())?;
-    w.write_all(result)?;
-    w.write_all(&(vo.len() as u32).to_le_bytes())?;
-    w.write_all(vo)?;
-    w.flush()
-}
-
 /// A borrowed batch-response item for [`write_batch_response`].
 pub type BatchItemRef<'a> = Result<(&'a [u8], &'a [u8]), (ErrorCode, &'a str)>;
 
@@ -998,18 +981,8 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_writers_match_owned_frames_byte_for_byte() {
+    fn borrowed_batch_writer_matches_owned_frame_byte_for_byte() {
         let (result, vo) = (vec![1u8, 2, 3], vec![4u8, 5]);
-        let mut direct = Vec::new();
-        write_query_response(&mut direct, &result, &vo).unwrap();
-        assert_eq!(
-            direct,
-            encode_frame(&Frame::QueryResponse {
-                result: result.clone(),
-                vo: vo.clone()
-            })
-        );
-
         let mut direct = Vec::new();
         write_batch_response(
             &mut direct,

@@ -10,8 +10,9 @@
 //!   reassembly buffer, frame parsing, non-blocking writes out of a
 //!   bounded per-connection chunk queue, timeouts. Cheap frames (`Ping`,
 //!   `StatsRequest`) are answered in place.
-//! * **Workers do crypto** — `QueryRequest`/`BatchRequest` items run on
-//!   the shared [`ThreadPool`]; the finished answer comes back to the
+//! * **Workers do crypto** — `QueryRequest`/`PlannedQuery` frames and
+//!   `BatchRequest` items, all [`WirePlan`]s once parsed, run on the
+//!   shared [`ThreadPool`]; the finished answer comes back to the
 //!   owning shard as a [`Msg::Complete`] through the shard's injection
 //!   queue plus a wake byte on its socketpair.
 //!
@@ -35,10 +36,11 @@ use crate::protocol::{
     self, encode_frame, frame_type, ErrorCode, Frame, StatsSnapshot, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::server::{
-    answer, answer_planned, encode_batch_frame, follow_job, lock_recover, subscribe_job,
-    AnswerBlob, BatchAnswer, Inner, ServerConfig, ServerStats,
+    answer, encode_batch_frame, error_chunks, follow_job, lock_recover, subscribe_job, AnswerBlob,
+    BatchAnswer, Inner, ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use adp_core::plan::WirePlan;
 use adp_relation::SelectQuery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -149,21 +151,12 @@ impl WriteChunk {
     }
 }
 
-/// A `QueryResponse` frame as chunks, byte-identical to
-/// `protocol::write_query_response` but borrowing the blobs.
-fn query_response_chunks(blob: &AnswerBlob) -> Vec<WriteChunk> {
-    response_chunks(frame_type::QUERY_RESPONSE, blob)
-}
-
-/// A `PlannedResponse` frame as chunks (same two-blob payload layout).
-fn planned_response_chunks(blob: &AnswerBlob) -> Vec<WriteChunk> {
-    response_chunks(frame_type::PLANNED_RESPONSE, blob)
-}
-
+/// A `QueryResponse` or `PlannedResponse` frame (`type_byte` says which;
+/// the two-blob payload layout is the same) as chunks, byte-identical to
+/// `encode_frame` of that frame but borrowing the blobs.
 fn response_chunks(type_byte: u8, blob: &AnswerBlob) -> Vec<WriteChunk> {
     let (result_len, vo_len) = (blob.0.len(), blob.1.len());
-    // `answer` / `answer_planned` already bounded result+vo+8 by
-    // MAX_PAYLOAD.
+    // `answer` already bounded result+vo+8 by MAX_PAYLOAD.
     let payload_len = (8 + result_len + vo_len) as u32;
     let mut head = Vec::with_capacity(HEADER_LEN + 4);
     head.extend_from_slice(&MAGIC);
@@ -189,15 +182,14 @@ fn response_chunks(type_byte: u8, blob: &AnswerBlob) -> Vec<WriteChunk> {
 enum Req {
     Ping,
     Stats,
+    /// A `QueryRequest` or a `PlannedQuery`: the same work, answered
+    /// under the frame type byte `response`.
     Query {
-        table_id: u32,
-        query: SelectQuery,
-    },
-    Planned {
-        plan: adp_core::plan::WirePlan,
+        response: u8,
+        plan: WirePlan,
     },
     Batch {
-        items: Vec<(u32, SelectQuery)>,
+        items: Vec<WirePlan>,
     },
     Subscribe {
         sub_id: u32,
@@ -386,6 +378,17 @@ impl Shard {
     pub(crate) fn run(mut self) {
         let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
         loop {
+            // The flags are read *after* the previous iteration drained
+            // the wake socket, never between a wait and that drain: a
+            // setter stores its flag and then writes a wake byte, and a
+            // drain that swallows the byte of a flag not yet looked at
+            // would leave the shard asleep until its next timer.
+            if self.core.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            if !self.draining && self.core.drain.load(Ordering::SeqCst) {
+                self.begin_drain();
+            }
             let timeout = self.next_timeout();
             let n = match self.core.epoll.wait(&mut events, timeout) {
                 Ok(n) => n,
@@ -398,12 +401,6 @@ impl Shard {
                 }
             };
             ServerStats::bump(&self.core.inner.stats.wakeups);
-            if self.core.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            if !self.draining && self.core.drain.load(Ordering::SeqCst) {
-                self.begin_drain();
-            }
             for ev in &events[..n] {
                 match ev.token() {
                     TOKEN_WAKE => self.drain_wake(),
@@ -702,18 +699,12 @@ impl Shard {
                 }
                 if conn.frame_deadline.is_some_and(|f| f <= now) {
                     // Slow loris: the rest of the frame never came.
-                    ServerStats::bump(&self.core.inner.stats.errors);
                     conn.frame_deadline = None;
                     conn.read_dead = true;
                     conn.close_after_flush = true;
-                    push_chunks(
-                        &self.core,
-                        conn,
-                        vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                            code: ErrorCode::BadFrame,
-                            message: "frame deadline exceeded".into(),
-                        }))],
-                    );
+                    let message = "frame deadline exceeded".into();
+                    let chunks = error_chunks(&self.core.inner, ErrorCode::BadFrame, message);
+                    push_chunks(&self.core, conn, chunks);
                     write_some(&self.core, conn);
                 } else {
                     ServerStats::bump(&self.core.inner.stats.idle_reaped);
@@ -908,10 +899,20 @@ fn parse_frames(core: &ShardCore, conn: &mut Conn) {
                         conn.pending.push_back(match frame {
                             Frame::Ping => Req::Ping,
                             Frame::StatsRequest => Req::Stats,
-                            Frame::QueryRequest { table_id, query } => {
-                                Req::Query { table_id, query }
-                            }
-                            Frame::BatchRequest { items } => Req::Batch { items },
+                            Frame::QueryRequest { table_id, query } => Req::Query {
+                                response: frame_type::QUERY_RESPONSE,
+                                plan: WirePlan::Select { table_id, query },
+                            },
+                            Frame::PlannedQuery { plan } => Req::Query {
+                                response: frame_type::PLANNED_RESPONSE,
+                                plan,
+                            },
+                            Frame::BatchRequest { items } => Req::Batch {
+                                items: items
+                                    .into_iter()
+                                    .map(|(table_id, query)| WirePlan::Select { table_id, query })
+                                    .collect(),
+                            },
                             Frame::Subscribe {
                                 sub_id,
                                 table_id,
@@ -925,7 +926,6 @@ fn parse_frames(core: &ShardCore, conn: &mut Conn) {
                             Frame::FollowLog { table_id, have } => {
                                 Req::FollowLog { table_id, have }
                             }
-                            Frame::PlannedQuery { plan } => Req::Planned { plan },
                             Frame::Pong
                             | Frame::QueryResponse { .. }
                             | Frame::BatchResponse { .. }
@@ -1022,27 +1022,11 @@ fn pump(core: &ShardCore, conn: &mut Conn, token: u64) {
 /// clears and its request FIFO wedges forever. Catching here turns a
 /// panicking query (a publisher bug, a poisoned-and-recovered structure in
 /// a weird state) into an ordinary per-query error that completes back to
-/// the shard like any other.
-fn answer_guarded(
-    inner: &Inner,
-    table_id: u32,
-    query: &SelectQuery,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        answer(inner, table_id, query)
-    }))
-    .unwrap_or_else(|_| Err((ErrorCode::Internal, "query panicked".into())))
-}
-
-/// [`answer_planned`] with the same panic guard as [`answer_guarded`]
-/// (the join path in particular panics on a referential-integrity
-/// violation between the two served tables).
-fn answer_planned_guarded(
-    inner: &Inner,
-    plan: &adp_core::plan::WirePlan,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer_planned(inner, plan)))
-        .unwrap_or_else(|_| Err((ErrorCode::Internal, "planned query panicked".into())))
+/// the shard like any other. (The join path in particular panics on a
+/// referential-integrity violation between the two served tables.)
+fn answer_guarded(inner: &Inner, plan: &WirePlan) -> Result<AnswerBlob, (ErrorCode, String)> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(inner, plan)))
+        .unwrap_or_else(|_| Err((ErrorCode::Internal, "query panicked".into())))
 }
 
 /// Drains the connection's request FIFO: cheap frames answer in place;
@@ -1073,66 +1057,23 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                 );
             }
             Req::BadDirection => {
-                ServerStats::bump(&core.inner.stats.errors);
-                push_chunks(
-                    core,
-                    conn,
-                    vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "unexpected frame direction".into(),
-                    }))],
-                );
+                let message = "unexpected frame direction".into();
+                let chunks = error_chunks(&core.inner, ErrorCode::BadFrame, message);
+                push_chunks(core, conn, chunks);
             }
             Req::Protocol(message) => {
-                ServerStats::bump(&core.inner.stats.errors);
-                push_chunks(
-                    core,
-                    conn,
-                    vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                        code: ErrorCode::BadFrame,
-                        message,
-                    }))],
-                );
+                let chunks = error_chunks(&core.inner, ErrorCode::BadFrame, message);
+                push_chunks(core, conn, chunks);
                 conn.close_after_flush = true;
             }
-            Req::Query { table_id, query } => {
+            Req::Query { response, plan } => {
                 conn.inflight = true;
                 let inner = Arc::clone(&core.inner);
                 let shard = Arc::clone(&core.me);
                 core.pool.execute(move || {
-                    let item = answer_guarded(&inner, table_id, &query);
-                    if item.is_err() {
-                        ServerStats::bump(&inner.stats.errors);
-                    }
-                    let chunks = match item {
-                        Ok(blob) => query_response_chunks(&blob),
-                        Err((code, message)) => {
-                            vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                                code,
-                                message,
-                            }))]
-                        }
-                    };
-                    shard.push(Msg::Complete(token, chunks));
-                });
-            }
-            Req::Planned { plan } => {
-                conn.inflight = true;
-                let inner = Arc::clone(&core.inner);
-                let shard = Arc::clone(&core.me);
-                core.pool.execute(move || {
-                    let item = answer_planned_guarded(&inner, &plan);
-                    if item.is_err() {
-                        ServerStats::bump(&inner.stats.errors);
-                    }
-                    let chunks = match item {
-                        Ok(blob) => planned_response_chunks(&blob),
-                        Err((code, message)) => {
-                            vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                                code,
-                                message,
-                            }))]
-                        }
+                    let chunks = match answer_guarded(&inner, &plan) {
+                        Ok(blob) => response_chunks(response, &blob),
+                        Err((code, message)) => error_chunks(&inner, code, message),
                     };
                     shard.push(Msg::Complete(token, chunks));
                 });
@@ -1174,15 +1115,9 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                         }))],
                     );
                 } else {
-                    ServerStats::bump(&core.inner.stats.errors);
-                    push_chunks(
-                        core,
-                        conn,
-                        vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                            code: ErrorCode::BadQuery,
-                            message: format!("no subscription with id {sub_id}"),
-                        }))],
-                    );
+                    let message = format!("no subscription with id {sub_id}");
+                    let chunks = error_chunks(&core.inner, ErrorCode::BadQuery, message);
+                    push_chunks(core, conn, chunks);
                 }
             }
             Req::Batch { items } => {
@@ -1200,10 +1135,10 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                     shard: Arc::clone(&core.me),
                     inner: Arc::clone(&core.inner),
                 });
-                for (index, (table_id, query)) in items.into_iter().enumerate() {
+                for (index, plan) in items.into_iter().enumerate() {
                     let state = Arc::clone(&state);
                     core.pool.execute(move || {
-                        let item = answer_guarded(&state.inner, table_id, &query);
+                        let item = answer_guarded(&state.inner, &plan);
                         if item.is_err() {
                             ServerStats::bump(&state.inner.stats.errors);
                         }

@@ -1,8 +1,11 @@
 //! The event-driven publisher server: answers
-//! [`QueryRequest`](crate::protocol::Frame::QueryRequest) and
-//! [`BatchRequest`](crate::protocol::Frame::BatchRequest) frames against
-//! its registered [`SignedTable`]s, and serves hot ranges from the VO
-//! cache.
+//! [`QueryRequest`](crate::protocol::Frame::QueryRequest),
+//! [`BatchRequest`](crate::protocol::Frame::BatchRequest) and
+//! [`PlannedQuery`](crate::protocol::Frame::PlannedQuery) frames against
+//! its registered [`SignedTable`]s, and serves hot plans from the VO
+//! cache. Every query is a [`WirePlan`] by the time it reaches the one
+//! `answer` function: the frame it arrived in only picks the type byte of
+//! the response.
 //!
 //! Concurrency model (no async runtime in this environment — a hand-rolled
 //! epoll readiness loop in the private `reactor` module):
@@ -15,11 +18,14 @@
 //!   is never on a reactor thread); answers complete back to the owning
 //!   shard, which writes them in request order per connection.
 //!
-//! The **VO cache** is an LRU keyed on `(table_id, canonical query)`: the
-//! key range is normalized against the table's domain first (so `K < 100`
-//! and `K ≤ 99` are one entry) and the cached value is the already-encoded
-//! `(result, vo)` pair — a hit bypasses the publisher *and* the codec.
-//! Hit/miss counters are exported through [`Frame::StatsRequest`].
+//! The **VO cache** is an LRU keyed on the plan's canonical fingerprint: a
+//! select's key range is normalized against the table's domain first (so
+//! `K < 100` and `K ≤ 99` are one entry) and the cached value is the
+//! already-encoded `(result, vo)` pair — a hit bypasses the publisher
+//! *and* the codec, whichever frame asked. An entry remembers the epochs
+//! of the tables it was computed from and is dropped on the first lookup
+//! after any of them moved on. Hit/miss/invalidation counters are
+//! exported through [`Frame::StatsRequest`].
 
 use crate::cache::LruCache;
 use crate::pool::ThreadPool;
@@ -30,11 +36,9 @@ use adp_core::owner::{Mutation, SignedTable};
 use adp_core::plan::{
     compute_plan_answer, encode_plan_answer, PlanAnswer, PlanAnswerError, WirePlan,
 };
-use adp_core::publisher::Publisher;
-use adp_core::vo::QueryVO;
-use adp_core::wire::{self, Writer};
+use adp_core::wire;
 use adp_crypto::Signature;
-use adp_relation::{KeyRange, Record, SelectQuery};
+use adp_relation::{KeyRange, SelectQuery};
 use adp_store::log::{encode_record, LogRecord};
 use adp_store::{Store, StoreError};
 use std::collections::HashMap;
@@ -175,40 +179,36 @@ impl ServerStats {
     }
 }
 
-/// A response-tampering hook: receives the honest answer and returns what
-/// actually goes on the wire.
+/// A response-tampering hook: receives the plan, a resolver from wire table
+/// id to the table snapshot the answer was computed from, and the honest
+/// un-encoded answer; returns what actually goes on the wire.
 ///
 /// This exists for *fault injection*: integration tests mount the
-/// Section 3.2 cheating strategies here to prove the remote verifier
-/// rejects every forgery arriving through a real socket (see
+/// Section 3.2 cheating strategies here (the resolver lets a strategy
+/// re-query a [`Publisher`](adp_core::publisher::Publisher) for the rows
+/// it splices in) to prove the remote verifier rejects every forgery
+/// arriving through a real socket, whichever frame carried the query (see
 /// `tests/remote_attack_matrix.rs`). A tampering server bypasses the VO
 /// cache so forged and honest answers never mix.
-pub type TamperFn = dyn for<'a> Fn(&Publisher<'a>, &SelectQuery, Vec<Record>, QueryVO) -> (Vec<Record>, QueryVO)
+pub type TamperFn = dyn for<'a> Fn(&WirePlan, &dyn Fn(u32) -> Option<&'a SignedTable>, PlanAnswer) -> PlanAnswer
     + Send
     + Sync;
-
-/// A response-tampering hook for the planned-query path: receives the
-/// plan and the honest [`PlanAnswer`] and returns what actually goes on
-/// the wire. Same fault-injection role as [`TamperFn`], but for the v6
-/// `PlannedQuery` frames (join and narrowed-scan shapes the legacy hook
-/// never sees). A server with this hook mounted bypasses the VO cache on
-/// the planned path.
-pub type PlannedTamperFn = dyn Fn(&WirePlan, PlanAnswer) -> PlanAnswer + Send + Sync;
 
 /// Encoded `(result, vo)` pair as cached and written to sockets.
 pub(crate) type AnswerBlob = Arc<(Vec<u8>, Vec<u8>)>;
 
 /// A registered table: the currently-served snapshot plus its epoch,
-/// bumped by every applied update. Cached answers remember the epoch they
+/// bumped by every applied update. Cached answers remember the epochs they
 /// were computed at; an epoch mismatch on lookup drops the entry lazily.
 struct TableSlot {
     st: Arc<SignedTable>,
     epoch: u64,
 }
 
-/// A cached answer, valid only while its table stays at `epoch`.
+/// A cached answer, valid only while every table its plan touches stays
+/// at the epoch recorded here (in the plan's table order).
 struct CachedAnswer {
-    epoch: u64,
+    epochs: Vec<u64>,
     blob: AnswerBlob,
 }
 
@@ -285,7 +285,6 @@ pub(crate) struct Inner {
     seen_subs: Mutex<std::collections::HashSet<(u32, u32)>>,
     pub(crate) stats: ServerStats,
     tamper: Option<Box<TamperFn>>,
-    planned_tamper: Option<Box<PlannedTamperFn>>,
     /// [`ServerConfig::max_push_bytes`], checked on the fan-out path.
     max_push_bytes: usize,
 }
@@ -347,172 +346,77 @@ impl Inner {
     }
 }
 
-/// Cache key for the legacy query path: `(table_id, canonical query)`.
-/// The range is replaced by its domain-normalized closed form so
-/// syntactically different ranges with identical semantics share an
-/// entry; trivially-empty ranges collapse to one key per (filters,
-/// projection, distinct) combination.
+/// The cache key: the plan's canonical fingerprint, with a `Select`'s
+/// range replaced by its domain-normalized closed form so syntactically
+/// different ranges with identical semantics share an entry.
+/// Trivially-empty ranges collapse to one key per (filters, projection,
+/// distinct) combination, marked by the unbounded range — a non-empty
+/// range always normalizes to a closed one, so the marker is free.
 ///
-/// The leading kind byte (`0x01` legacy, `0x02` planned) keeps the two
-/// key families disjoint: without it, a planned `Select` over the same
-/// canonical range could collide with a legacy entry even though the two
-/// responses use different frame encodings.
-fn cache_key(table_id: u32, st: &SignedTable, query: &SelectQuery) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(0x01);
-    w.u32(table_id);
-    let canonical = match st.domain().normalize(&query.range) {
-        Some(bounds) => {
-            w.u8(1);
-            SelectQuery {
-                range: KeyRange::closed(bounds.alpha, bounds.beta),
-                ..query.clone()
-            }
-        }
-        None => {
-            w.u8(0);
-            SelectQuery {
-                range: KeyRange::all(),
-                ..query.clone()
-            }
-        }
-    };
-    w.bytes(&wire::encode_query(&canonical));
-    w.into_bytes()
-}
-
-/// Cache key for the planned-query path: kind byte `0x02`, the epoch of
-/// every table the plan touches, then the plan's canonical fingerprint.
+/// The key says nothing about the frame the plan arrived in: the cached
+/// blob is framing-independent, so a `QueryRequest`, a `BatchRequest` item
+/// and a `PlannedQuery{Select}` for one canonical query share an entry.
 /// Two *distinct* plans over the same key range (different filters,
-/// projections, DISTINCT, or shape) therefore never share an entry —
-/// their fingerprints differ — and entries from a superseded epoch can
-/// never be returned: the key itself moves on with the epoch, so a stale
-/// entry simply ages out of the LRU.
-fn planned_cache_key(plan: &WirePlan, slots: &[(u32, Arc<SignedTable>, u64)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(0x02);
-    w.u32(slots.len() as u32);
-    for (id, _, epoch) in slots {
-        w.u32(*id);
-        w.u64(*epoch);
+/// projection, DISTINCT, or shape) never do — their fingerprints differ.
+fn cache_key(plan: &WirePlan, served: &[(u32, Arc<SignedTable>)]) -> Vec<u8> {
+    match plan {
+        WirePlan::Select { table_id, query } => {
+            let range = served[0]
+                .1
+                .domain()
+                .normalize(&query.range)
+                .map_or(KeyRange::all(), |b| KeyRange::closed(b.alpha, b.beta));
+            WirePlan::Select {
+                table_id: *table_id,
+                query: SelectQuery {
+                    range,
+                    ..query.clone()
+                },
+            }
+            .fingerprint()
+        }
+        WirePlan::PkFkJoin { .. } => plan.fingerprint(),
     }
-    w.bytes(&plan.fingerprint());
-    w.into_bytes()
 }
 
-/// Answers one planned query (the v6 `PlannedQuery` frame): resolves
-/// every table the plan references, consults the VO cache under the
-/// plan-fingerprint key, computes the (select or pk-fk join) answer, and
-/// encodes it with [`encode_plan_answer`]. Mirrors [`answer`], with the
-/// planned tamper hook in place of the legacy one.
-pub(crate) fn answer_planned(
-    inner: &Inner,
-    plan: &WirePlan,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    let ids: Vec<u32> = match plan {
+/// Answers one query — a select or a pk-fk join, from whichever frame:
+/// resolves every table the plan references, consults the VO cache unless
+/// a tamper hook is mounted, computes the answer and encodes it. Cached
+/// answers carry the table epochs they were computed at; a stale entry
+/// (one of its tables was updated since) is dropped lazily here and
+/// counted as an invalidation.
+pub(crate) fn answer(inner: &Inner, plan: &WirePlan) -> Result<AnswerBlob, (ErrorCode, String)> {
+    let ids = match plan {
         WirePlan::Select { table_id, .. } => vec![*table_id],
         WirePlan::PkFkJoin {
             fk_table, pk_table, ..
         } => vec![*fk_table, *pk_table],
     };
-    let slots: Vec<(u32, Arc<SignedTable>, u64)> = {
+    let unknown = |id: u32| (ErrorCode::UnknownTable, format!("no table with id {id}"));
+    let mut served = Vec::with_capacity(ids.len());
+    let mut epochs = Vec::with_capacity(ids.len());
+    {
         let tables = read_recover(&inner.tables);
-        let mut slots = Vec::with_capacity(ids.len());
         for id in ids {
-            let slot = tables
-                .get(&id)
-                .ok_or_else(|| (ErrorCode::UnknownTable, format!("no table with id {id}")))?;
-            slots.push((id, Arc::clone(&slot.st), slot.epoch));
+            let slot = tables.get(&id).ok_or_else(|| unknown(id))?;
+            served.push((id, Arc::clone(&slot.st)));
+            epochs.push(slot.epoch);
         }
-        slots
-    };
-    let cache = inner
-        .cache
-        .as_ref()
-        .filter(|_| inner.tamper.is_none() && inner.planned_tamper.is_none());
-    let key = cache.map(|_| planned_cache_key(plan, &slots));
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        // Epochs live in the key, so any hit is current by construction.
-        if let Some(hit) = lock_recover(cache).get(key) {
-            ServerStats::bump(&inner.stats.cache_hits);
-            ServerStats::bump(&inner.stats.queries);
-            return Ok(Arc::clone(&hit.blob));
-        }
-        ServerStats::bump(&inner.stats.cache_misses);
     }
-    let resolve = |id: u32| {
-        slots
-            .iter()
-            .find(|(i, _, _)| *i == id)
-            .map(|(_, st, _)| &**st)
-    };
-    let answer = compute_plan_answer(plan, resolve).map_err(|e| match e {
-        PlanAnswerError::UnknownTable(id) => {
-            (ErrorCode::UnknownTable, format!("no table with id {id}"))
-        }
-        PlanAnswerError::Publish(e) => (ErrorCode::BadQuery, e.to_string()),
-    })?;
-    let answer = match &inner.planned_tamper {
-        Some(tamper) => tamper(plan, answer),
-        None => answer,
-    };
-    let (result, vo) = encode_plan_answer(&answer);
-    let blob: AnswerBlob = Arc::new((result, vo));
-    let framed_len = blob.0.len() as u64 + blob.1.len() as u64 + 8;
-    if framed_len > crate::protocol::MAX_PAYLOAD as u64 {
-        return Err((
-            ErrorCode::Internal,
-            format!("answer of {framed_len} bytes exceeds the frame payload cap"),
-        ));
-    }
-    if let (Some(key), Some(cache)) = (key, cache) {
-        lock_recover(cache).insert(
-            key,
-            CachedAnswer {
-                // Unused on this path: freshness is part of the key.
-                epoch: 0,
-                blob: Arc::clone(&blob),
-            },
-        );
-    }
-    ServerStats::bump(&inner.stats.queries);
-    Ok(blob)
-}
-
-/// Answers one query, consulting the VO cache unless a tamper hook is
-/// mounted. Cached answers carry the table epoch they were computed at;
-/// a stale entry (its table was updated since) is dropped lazily here and
-/// counted as an invalidation.
-pub(crate) fn answer(
-    inner: &Inner,
-    table_id: u32,
-    query: &SelectQuery,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    let (st, epoch) = {
-        let tables = read_recover(&inner.tables);
-        let slot = tables.get(&table_id).ok_or_else(|| {
-            (
-                ErrorCode::UnknownTable,
-                format!("no table with id {table_id}"),
-            )
-        })?;
-        (Arc::clone(&slot.st), slot.epoch)
-    };
-    let st = &*st;
     // The cache is consulted iff it is configured and no tamper hook is
     // mounted (forged and honest answers must never mix).
     let cache = inner.cache.as_ref().filter(|_| inner.tamper.is_none());
-    let key = cache.map(|_| cache_key(table_id, st, query));
+    let key = cache.map(|_| cache_key(plan, &served));
     if let (Some(cache), Some(key)) = (cache, &key) {
         let mut cache = lock_recover(cache);
         match cache.get(key) {
-            Some(hit) if hit.epoch == epoch => {
+            Some(hit) if hit.epochs == epochs => {
                 ServerStats::bump(&inner.stats.cache_hits);
                 ServerStats::bump(&inner.stats.queries);
                 return Ok(Arc::clone(&hit.blob));
             }
             Some(_) => {
-                // Stale: the table moved on since this was cached.
+                // Stale: a table moved on since this was cached.
                 cache.remove(key);
                 ServerStats::bump(&inner.stats.invalidations);
                 ServerStats::bump(&inner.stats.cache_misses);
@@ -520,15 +424,21 @@ pub(crate) fn answer(
             None => ServerStats::bump(&inner.stats.cache_misses),
         }
     }
-    let publisher = Publisher::new(st);
-    let (result, vo) = publisher
-        .answer_select(query)
-        .map_err(|e| (ErrorCode::BadQuery, e.to_string()))?;
-    let (result, vo) = match &inner.tamper {
-        Some(tamper) => tamper(&publisher, query, result, vo),
-        None => (result, vo),
+    let resolve = |id: u32| {
+        served
+            .iter()
+            .find(|(served_id, _)| *served_id == id)
+            .map(|(_, st)| &**st)
     };
-    let blob: AnswerBlob = Arc::new((wire::encode_records(&result), wire::encode_vo(&vo)));
+    let answer = compute_plan_answer(plan, resolve).map_err(|e| match e {
+        PlanAnswerError::UnknownTable(id) => unknown(id),
+        PlanAnswerError::Publish(e) => (ErrorCode::BadQuery, e.to_string()),
+    })?;
+    let answer = match &inner.tamper {
+        Some(tamper) => tamper(plan, &resolve, answer),
+        None => answer,
+    };
+    let blob: AnswerBlob = Arc::new(encode_plan_answer(&answer));
     // An answer that cannot fit one frame must not reach the write path
     // (write_frame would error and desync nothing, but the client deserves
     // a per-query error instead of a dropped connection).
@@ -540,12 +450,12 @@ pub(crate) fn answer(
         ));
     }
     if let (Some(key), Some(cache)) = (key, cache) {
-        // If the table was updated while we computed, the recorded epoch
-        // is already stale and the next lookup will drop the entry.
+        // If a table was updated while we computed, the recorded epochs
+        // are already stale and the next lookup will drop the entry.
         lock_recover(cache).insert(
             key,
             CachedAnswer {
-                epoch,
+                epochs,
                 blob: Arc::clone(&blob),
             },
         );
@@ -571,7 +481,6 @@ pub struct Server {
     tables: HashMap<u32, TableSlot>,
     stores: HashMap<u32, Store>,
     tamper: Option<Box<TamperFn>>,
-    planned_tamper: Option<Box<PlannedTamperFn>>,
 }
 
 impl Server {
@@ -582,7 +491,6 @@ impl Server {
             tables: HashMap::new(),
             stores: HashMap::new(),
             tamper: None,
-            planned_tamper: None,
         }
     }
 
@@ -643,22 +551,12 @@ impl Server {
     /// encoded (see [`TamperFn`]); disables the VO cache.
     pub fn set_tamper(
         &mut self,
-        tamper: impl for<'a> Fn(&Publisher<'a>, &SelectQuery, Vec<Record>, QueryVO) -> (Vec<Record>, QueryVO)
+        tamper: impl for<'a> Fn(&WirePlan, &dyn Fn(u32) -> Option<&'a SignedTable>, PlanAnswer) -> PlanAnswer
             + Send
             + Sync
             + 'static,
     ) -> &mut Self {
         self.tamper = Some(Box::new(tamper));
-        self
-    }
-
-    /// Mounts a fault-injection hook on the planned-query path (see
-    /// [`PlannedTamperFn`]); disables the VO cache for planned answers.
-    pub fn set_tamper_planned(
-        &mut self,
-        tamper: impl Fn(&WirePlan, PlanAnswer) -> PlanAnswer + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.planned_tamper = Some(Box::new(tamper));
         self
     }
 
@@ -679,7 +577,6 @@ impl Server {
             seen_subs: Mutex::new(std::collections::HashSet::new()),
             stats: ServerStats::default(),
             tamper: self.tamper,
-            planned_tamper: self.planned_tamper,
             max_push_bytes: self.config.max_push_bytes,
         });
         let pool = Arc::new(ThreadPool::new(self.config.workers));
@@ -753,8 +650,8 @@ pub(crate) fn encode_batch_frame(inner: &Inner, answers: &[BatchAnswer]) -> Vec<
     out
 }
 
-/// Encodes a [`Frame::Error`] into one write chunk.
-fn error_chunks(inner: &Inner, code: ErrorCode, message: String) -> Vec<WriteChunk> {
+/// Encodes a [`Frame::Error`] into one write chunk and counts it.
+pub(crate) fn error_chunks(inner: &Inner, code: ErrorCode, message: String) -> Vec<WriteChunk> {
     ServerStats::bump(&inner.stats.errors);
     vec![WriteChunk::owned(protocol::encode_frame(&Frame::Error {
         code,
@@ -1252,30 +1149,61 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adp_core::plan::verify_plan;
     use adp_core::prelude::*;
-    use adp_relation::{Column, Schema, Table, Value, ValueType};
+    use adp_relation::{
+        Column, CompareOp, Predicate, Projection, Record, Schema, Table, Value, ValueType,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn test_inner() -> Inner {
-        let mut rng = StdRng::seed_from_u64(0x9015);
-        let owner = Owner::new(512, &mut rng);
-        let schema = Schema::new(vec![Column::new("k", ValueType::Int)], "k");
-        let mut t = Table::new("t", schema);
-        for i in 0..5i64 {
-            t.insert(Record::new(vec![Value::Int(i * 10 + 5)])).unwrap();
+    fn test_owner() -> Owner {
+        Owner::new(512, &mut StdRng::seed_from_u64(0x9015))
+    }
+
+    fn row(k: i64) -> Record {
+        Record::new(vec![Value::Int(k), Value::Int(k % 3)])
+    }
+
+    /// A table `(k, v)` keyed on `k`, holding `keys`.
+    fn signed(owner: &Owner, name: &str, keys: &[i64]) -> SignedTable {
+        let columns = ["k", "v"].map(|c| Column::new(c, ValueType::Int));
+        let mut t = Table::new(name, Schema::new(columns.to_vec(), "k"));
+        for k in keys {
+            t.insert(row(*k)).unwrap();
         }
-        let st = owner
+        owner
             .sign_table(t, Domain::new(0, 1_000), SchemeConfig::default())
-            .unwrap();
-        let mut tables = HashMap::new();
-        tables.insert(
-            0u32,
-            TableSlot {
-                st: Arc::new(st),
-                epoch: 0,
-            },
-        );
+            .unwrap()
+    }
+
+    fn select(table_id: u32, query: SelectQuery) -> WirePlan {
+        WirePlan::Select { table_id, query }
+    }
+
+    /// Table 0's key as a foreign key into table 1's.
+    fn join(fk_range: KeyRange) -> WirePlan {
+        WirePlan::PkFkJoin {
+            fk_table: 0,
+            pk_table: 1,
+            fk_range,
+            fk_projection: Projection::All,
+            pk_projection: Projection::All,
+        }
+    }
+
+    /// Tables 0 and 1, both holding keys 5, 15, …, 45 at epoch 0.
+    fn test_inner() -> Inner {
+        let owner = test_owner();
+        let keys = [5, 15, 25, 35, 45];
+        let tables = [signed(&owner, "t", &keys), signed(&owner, "p", &keys)]
+            .into_iter()
+            .zip(0u32..)
+            .map(|(st, id)| {
+                let st = Arc::new(st);
+                (id, TableSlot { st, epoch: 0 })
+            })
+            .collect();
         Inner {
             tables: RwLock::new(tables),
             stores: Mutex::new(HashMap::new()),
@@ -1284,7 +1212,6 @@ mod tests {
             seen_subs: Mutex::new(std::collections::HashSet::new()),
             stats: ServerStats::default(),
             tamper: None,
-            planned_tamper: None,
             max_push_bytes: crate::protocol::MAX_PAYLOAD as usize,
         }
     }
@@ -1316,9 +1243,9 @@ mod tests {
         .join();
         // Requests still serve end to end: registry lookup, cache
         // miss/insert, then a cache hit, then a stats snapshot.
-        let q = SelectQuery::range(KeyRange::closed(0, 100));
-        answer(&inner, 0, &q).expect("first answer after poisoning");
-        answer(&inner, 0, &q).expect("second answer after poisoning");
+        let plan = select(0, SelectQuery::range(KeyRange::closed(0, 100)));
+        answer(&inner, &plan).expect("first answer after poisoning");
+        answer(&inner, &plan).expect("second answer after poisoning");
         let snap = inner.snapshot();
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
@@ -1326,54 +1253,119 @@ mod tests {
         assert_eq!(snap.cache_entries, 1);
     }
 
-    /// Regression: two *distinct* plans over the same key range must never
-    /// share a cached VO. The planned key is the plan fingerprint (plus
-    /// epochs), and the legacy key family is disjoint by its kind byte —
-    /// so a legacy query, a planned plain select, and a planned DISTINCT
-    /// select over the identical canonical range produce three cache
-    /// entries and zero cross-hits.
+    /// The cache law. One canonical select has one entry however it is
+    /// spelled (`K < 100` ≡ `K ≤ 99`) — and, since `answer` never learns
+    /// which frame a plan arrived in, whichever frame asks: one miss, one
+    /// hit, the *same* `Arc`. Plans that differ in filters, projection,
+    /// DISTINCT or shape never share, even over the identical key range.
     #[test]
-    fn distinct_plans_over_same_range_never_share_a_cached_vo() {
-        let inner = Arc::new(test_inner());
-        let range = KeyRange::closed(0, 100);
-        let q = SelectQuery::range(range);
+    fn one_canonical_select_one_entry_but_distinct_plans_never_share() {
+        let inner = test_inner();
+        let below_100 = SelectQuery::range(KeyRange::less_than(100));
+        let up_to_99 = SelectQuery::range(KeyRange::closed(0, 99));
 
-        let legacy = answer(&inner, 0, &q).unwrap();
-        let plain = answer_planned(
-            &inner,
-            &WirePlan::Select {
-                table_id: 0,
-                query: q.clone(),
-            },
-        )
-        .unwrap();
-        let distinct = answer_planned(
-            &inner,
-            &WirePlan::Select {
-                table_id: 0,
-                query: q.clone().distinct(),
-            },
-        )
-        .unwrap();
-
+        let first = answer(&inner, &select(0, below_100)).unwrap();
+        let second = answer(&inner, &select(0, up_to_99.clone())).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "equivalent ranges share");
         let snap = inner.snapshot();
-        assert_eq!(snap.cache_hits, 0, "no plan may hit another plan's entry");
-        assert_eq!(snap.cache_misses, 3);
-        assert_eq!(snap.cache_entries, 3);
-        // Each answer was computed independently — no shared blob.
-        assert!(!Arc::ptr_eq(&plain, &distinct));
-        assert!(!Arc::ptr_eq(&legacy, &plain));
+        assert_eq!(
+            (snap.cache_misses, snap.cache_hits, snap.cache_entries),
+            (1, 1, 1)
+        );
+
+        let others = [
+            select(
+                0,
+                up_to_99
+                    .clone()
+                    .filter(Predicate::new("v", CompareOp::Eq, 1i64)),
+            ),
+            select(0, up_to_99.clone().project(&["v"])),
+            select(0, up_to_99.clone().distinct()),
+            select(1, up_to_99),
+            join(KeyRange::closed(0, 99)),
+        ];
+        let mut blobs = vec![first];
+        for plan in &others {
+            let blob = answer(&inner, plan).unwrap();
+            assert!(
+                blobs.iter().all(|b| !Arc::ptr_eq(b, &blob)),
+                "{plan:?} was served another plan's blob"
+            );
+            blobs.push(blob);
+        }
+        let snap = inner.snapshot();
+        assert_eq!(snap.cache_hits, 1, "no plan may hit another plan's entry");
+        assert_eq!(snap.cache_misses, 1 + others.len() as u64);
+        assert_eq!(snap.cache_entries, blobs.len() as u64);
 
         // Re-asking each is a hit on its own entry, still no crosstalk.
-        let plain2 = answer_planned(
-            &inner,
-            &WirePlan::Select {
-                table_id: 0,
-                query: q.clone(),
-            },
-        )
-        .unwrap();
-        assert!(Arc::ptr_eq(&plain, &plain2));
-        assert_eq!(inner.snapshot().cache_hits, 1);
+        let again = answer(&inner, &others[2]).unwrap();
+        assert!(blobs.iter().any(|b| Arc::ptr_eq(b, &again)));
+        assert_eq!(inner.snapshot().cache_hits, 2);
+    }
+
+    /// Regression for the two freshness schemes: a cached *planned* answer
+    /// used to squat in the LRU after `apply_update` (its epoch-in-key
+    /// entry was never dropped or counted). With one rule, a select and a
+    /// pk-fk join cached before an update to a table they both touch are
+    /// each dropped and counted on the next lookup, the entry count does
+    /// not grow, and the recomputed answers verify at the new epoch.
+    #[test]
+    fn update_invalidates_cached_select_and_join_alike() {
+        let owner = test_owner();
+        let keys = [5, 15, 25, 35, 45];
+        let fk = signed(&owner, "t", &keys);
+        let mut pk = signed(&owner, "p", &keys);
+        let certs = [owner.certificate(&fk), owner.certificate(&pk)];
+        let dir = std::env::temp_dir().join(format!("adp-server-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut server = Server::new(ServerConfig::default());
+        server.add_table(0, fk);
+        server.add_store(1, Store::create(&dir, pk.clone()).unwrap());
+        let handle = server.serve("127.0.0.1:0").unwrap();
+        let inner = &handle.inner;
+
+        let plans = [
+            select(1, SelectQuery::range(KeyRange::closed(0, 100))),
+            join(KeyRange::closed(0, 100)),
+        ];
+        for plan in &plans {
+            answer(inner, plan).unwrap();
+        }
+        let before = inner.snapshot();
+        assert_eq!((before.cache_entries, before.invalidations), (2, 0));
+
+        let report = owner
+            .apply_batch(&mut pk, vec![Mutation::Insert(row(55))])
+            .unwrap();
+        let epoch = handle
+            .apply_update(1, &report.ops, &report.resigned)
+            .unwrap();
+        assert_eq!(epoch, 1);
+
+        let cert_of = |id: u32| certs.get(id as usize);
+        let fresh: Vec<_> = plans
+            .iter()
+            .map(|plan| {
+                let blob = answer(inner, plan).unwrap();
+                let verified = verify_plan(plan, cert_of, &blob.0, &blob.1).unwrap();
+                (blob, verified.rows.len())
+            })
+            .collect();
+        // The select sees the inserted key; the join still pairs five.
+        assert_eq!((fresh[0].1, fresh[1].1), (6, 5));
+        let after = inner.snapshot();
+        assert_eq!(after.invalidations, before.invalidations + 2);
+        assert_eq!(after.cache_entries, before.cache_entries);
+        assert_eq!(after.cache_misses, before.cache_misses + 2);
+        // The replacements are live entries at the new epoch.
+        for (plan, (blob, _)) in plans.iter().zip(&fresh) {
+            assert!(Arc::ptr_eq(blob, &answer(inner, plan).unwrap()));
+        }
+        assert_eq!(inner.snapshot().invalidations, after.invalidations);
+
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,6 +5,7 @@
 //! must come back in order, and thread count must not scale with
 //! connection count.
 
+use adp_core::plan::WirePlan;
 use adp_core::prelude::*;
 use adp_relation::{Column, KeyRange, Record, Schema, SelectQuery, Table, Value, ValueType};
 use adp_server::protocol::{encode_frame, read_frame, ErrorCode, Frame};
@@ -381,11 +382,12 @@ fn panicking_query_answers_error_and_connection_survives() {
     let mut server = Server::new(ServerConfig::default());
     server.add_table(0, signed_table(10, 8));
     // Panic on the marker range; answer honestly otherwise.
-    server.set_tamper(|_publisher, query, result, vo| {
-        if query.range == KeyRange::closed(666, 777) {
+    server.set_tamper(|plan, _table, answer| {
+        let marker = KeyRange::closed(666, 777);
+        if matches!(plan, WirePlan::Select { query, .. } if query.range == marker) {
             panic!("synthetic publisher bug");
         }
-        (result, vo)
+        answer
     });
     let handle = server.serve("127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
@@ -422,7 +424,12 @@ fn panicking_query_answers_error_and_connection_survives() {
     stream.write_all(&encode_frame(&Frame::Ping)).unwrap();
     assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);
     assert!(wait_for(&handle, |s| s.errors >= 1));
+    // Shutdown on the heels of a completion must not wait out the idle
+    // timer: the shard once read its shutdown flag before draining the
+    // wake socket, so a drain could swallow the shutdown's wake byte.
+    let asked = Instant::now();
     handle.shutdown();
+    assert!(asked.elapsed() < Duration::from_secs(10));
 }
 
 /// The whole point of the reactor: thread count is a function of shards

@@ -7,12 +7,14 @@
 //! than being saved by a codec error).
 //!
 //! Cells mirror `adp-core/tests/attack_matrix.rs` for the three
-//! select-query shapes the legacy query frame carries. Applicability is
+//! select-query shapes a `QueryRequest` frame carries. Applicability is
 //! asserted, not assumed: an attack the tamper harness refuses on an
-//! expected-applicable shape fails the test. The protocol-v6 planned
-//! path (SQL joins and aggregates) gets its own forgery leg in
-//! [`planned_sql_forgeries`] below.
+//! expected-applicable shape fails the test. SQL joins and aggregates
+//! arriving as `PlannedQuery` frames get their own forgery leg in
+//! [`planned_sql_forgeries`] below. Both legs mount the server's one
+//! tamper hook, which sees every query as a `WirePlan`.
 
+use adp_core::plan::{PlanAnswer, WirePlan};
 use adp_core::prelude::*;
 use adp_core::publisher::malicious::{tamper, Attack};
 use adp_relation::{
@@ -106,17 +108,23 @@ fn run_attack(attack: Attack) {
     let forged_in_hook = Arc::clone(&forged);
     let mut server = Server::new(ServerConfig::default());
     server.add_shared_table(0, Arc::clone(st));
-    server.set_tamper(move |publisher, query, result, vo| {
-        match tamper(publisher, query, &result, &vo, attack) {
-            Some((bad_result, bad_vo)) => {
-                assert!(
-                    bad_result != result || bad_vo != vo,
-                    "{attack:?} was a no-op"
-                );
+    server.set_tamper(move |plan, table, answer| {
+        let (WirePlan::Select { table_id, query }, PlanAnswer::Select { rows, vo }) =
+            (plan, &answer)
+        else {
+            panic!("a QueryRequest is a select plan with a select answer");
+        };
+        let publisher = Publisher::new(table(*table_id).expect("the answered table is served"));
+        match tamper(&publisher, query, rows, vo, attack) {
+            Some((bad_rows, bad_vo)) => {
+                assert!(bad_rows != *rows || bad_vo != *vo, "{attack:?} was a no-op");
                 forged_in_hook.fetch_add(1, Ordering::SeqCst);
-                (bad_result, bad_vo)
+                PlanAnswer::Select {
+                    rows: bad_rows,
+                    vo: bad_vo,
+                }
             }
-            None => (result, vo),
+            None => answer,
         }
     });
     let handle = server.serve("127.0.0.1:0").unwrap();
@@ -381,15 +389,14 @@ mod forged_replication {
 
 // --------------------------------------------------------------------------
 // Forged planned answers: the Section 3.2 cheating strategies replayed
-// against the protocol-v6 `PlannedQuery` path — SQL joins and aggregates
-// planned client-side, answered by a server whose `set_tamper_planned`
-// hook forges the un-encoded `PlanAnswer` before it hits the wire. Every
+// against protocol-v6 `PlannedQuery` frames — SQL joins and aggregates
+// planned client-side, answered by a server whose `set_tamper` hook
+// forges the un-encoded `PlanAnswer` before it hits the wire. Every
 // forgery must surface as `RemoteError::Verify` on the `SqlSession`,
 // never as wrong rows or a wrong aggregate.
 
 mod planned_sql_forgeries {
     use super::*;
-    use adp_core::plan::PlanAnswer;
     use adp_core::vo::QueryVO;
     use adp_relation::check_referential_integrity;
     use adp_server::SqlSession;
@@ -573,7 +580,7 @@ mod planned_sql_forgeries {
         let mut server = Server::new(ServerConfig::default());
         server.add_shared_table(0, Arc::clone(&fix.emp));
         server.add_shared_table(1, Arc::clone(&fix.dept));
-        server.set_tamper_planned(move |_plan, answer| match forge(forgery, &answer) {
+        server.set_tamper(move |_plan, _table, answer| match forge(forgery, &answer) {
             Some(bad) => {
                 forged_in_hook.fetch_add(1, Ordering::SeqCst);
                 bad
@@ -630,7 +637,7 @@ mod planned_sql_forgeries {
         let mut server = Server::new(ServerConfig::default());
         server.add_shared_table(0, Arc::clone(&fix.emp));
         server.add_shared_table(1, Arc::clone(&fix.dept));
-        server.set_tamper_planned(|_plan, answer| answer);
+        server.set_tamper(|_plan, _table, answer| answer);
         let handle = server.serve("127.0.0.1:0").unwrap();
 
         let mut s = SqlSession::connect(handle.addr()).unwrap();

@@ -1,13 +1,16 @@
 //! End-to-end over a real socket: a threaded server on an ephemeral port
 //! answers single and batched range queries, the remote verifier accepts
 //! every honest answer, and the VO cache reports hits for repeated (and
-//! semantically-identical) queries.
+//! semantically-identical) queries — whichever frame carries them.
 
+use adp_core::plan::{verify_plan, WirePlan};
 use adp_core::prelude::*;
+use adp_core::verifier::verify_select_wire;
 use adp_relation::{
     Column, CompareOp, KeyRange, Predicate, Record, Schema, SelectQuery, Table, Value, ValueType,
 };
 use adp_server::{RemoteClient, RemoteError, RemoteVerifier, Server, ServerConfig};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Bound;
@@ -272,4 +275,68 @@ fn concurrent_clients_share_one_server() {
     assert!(stats.cache_hits + stats.cache_misses == 20);
 
     handle.shutdown();
+}
+
+/// One of the four select shapes, over a range whose bounds are open or
+/// closed at random (so spellings of one canonical range turn up too).
+fn arb_query() -> impl Strategy<Value = SelectQuery> {
+    (0i64..12_000, 0i64..6_000, any::<u8>()).prop_map(|(lo, width, bits)| {
+        let hi = lo + width;
+        let range = KeyRange {
+            lo: if bits & 1 == 0 {
+                Bound::Included(lo)
+            } else {
+                Bound::Excluded(lo - 1)
+            },
+            hi: if bits & 2 == 0 {
+                Bound::Included(hi)
+            } else {
+                Bound::Excluded(hi + 1)
+            },
+        };
+        let base = SelectQuery::range(range);
+        match (bits >> 2) % 4 {
+            0 => base,
+            1 => base.filter(Predicate::new("dept", CompareOp::Eq, (bits % 3) as i64)),
+            2 => base.project(&["name"]),
+            _ => base.project(&["dept"]).distinct(),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One query, one proof: a `QueryRequest`, a `PlannedQuery{Select}` and
+    /// a one-item `BatchRequest` for the same select return byte-identical
+    /// `(result, vo)` blobs off one cache entry, and the blobs verify both
+    /// as a select answer and as a planned answer.
+    #[test]
+    fn every_framing_of_a_select_returns_the_same_verified_bytes(query in arb_query()) {
+        static SRV: OnceLock<adp_server::ServerHandle> = OnceLock::new();
+        let handle = SRV.get_or_init(start_server);
+        let (_, cert) = fixture();
+        let mut client = RemoteClient::connect(handle.addr()).unwrap();
+        let before = client.stats().unwrap();
+
+        let plan = WirePlan::Select { table_id: 0, query: query.clone() };
+        let plain = client.query_raw(0, &query).unwrap();
+        let planned = client.query_planned_raw(&plan).unwrap();
+        let mut batch = client.query_batch_raw(&[(0, query.clone())]).unwrap();
+        prop_assert_eq!(&plain, &planned);
+        prop_assert_eq!(batch.len(), 1);
+        prop_assert_eq!(&plain, &batch.remove(0).unwrap());
+
+        let (rows, _) = verify_select_wire(cert, &query, &plain.0, &plain.1).unwrap();
+        let as_plan = verify_plan(&plan, |_| Some(cert), &planned.0, &planned.1).unwrap();
+        prop_assert_eq!(rows, as_plan.rows);
+
+        // Computed at most once (an earlier case may have cached the same
+        // canonical query); every other framing was a hit.
+        let after = client.stats().unwrap();
+        let misses = after.cache_misses - before.cache_misses;
+        prop_assert!(misses <= 1);
+        prop_assert_eq!(after.cache_hits - before.cache_hits, 3 - misses);
+        prop_assert_eq!(after.cache_entries - before.cache_entries, misses);
+    }
 }

@@ -7,7 +7,7 @@
 
 use adp_core::prelude::*;
 use adp_relation::{check_referential_integrity, Column, Record, Schema, Table, Value, ValueType};
-use adp_server::{RemoteClient, RemoteError, RemoteVerifier, Server, SqlSession};
+use adp_server::{RemoteClient, RemoteError, Server, SqlSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
@@ -277,25 +277,20 @@ fn session_stats_accumulate_and_cache_serves_repeats() {
     let stats = s.stats();
     assert_eq!(stats.queries, 2);
     assert!(stats.vo_bytes > 0 && stats.rows_verified >= 10);
+    assert!(stats.hash_ops > 0, "chain re-hashing is accounted");
 
     let server_stats = s.client_mut().stats().unwrap();
     assert_eq!(server_stats.cache_misses, 1, "identical plan re-served");
     assert!(server_stats.cache_hits >= 1);
 
-    handle.shutdown();
-}
-
-#[test]
-fn single_table_query_sql_convenience_on_remote_verifier() {
-    let handle = start_server();
-    let fix = fixture();
-    let mut user = RemoteVerifier::connect(handle.addr(), fix.dept_cert.clone(), 1).unwrap();
-
-    let out = user
+    // A projected range over the other table: same session, same books.
+    let out = s
         .query_sql("SELECT dname FROM dept WHERE dept BETWEEN 20 AND 40")
         .unwrap();
+    // (The sort key always rides along: the proof is over it.)
+    assert_eq!(out.output.columns, ["dname", "dept"]);
     assert_eq!(out.output.rows.len(), 3);
-    assert_eq!(user.stats().queries, 1);
+    assert_eq!(s.stats().queries, 3);
 
     handle.shutdown();
 }
