@@ -13,7 +13,7 @@
 //! | `sec63_updates` | Section 6.3 update locality vs Merkle trees |
 //! | `ablation_chain` | Section 5.1 motivation: conceptual vs optimized chains |
 //! | `baseline_compare` | Section 2.3 / 6.1 comparison vs \[10\], \[13\], \[20\] |
-//! | `crypto_micro`, `vo_micro` | Criterion micro-benchmarks |
+//! | `vo_micro` | Criterion micro-benchmarks (crypto unit costs: `adpbench --trace 1`) |
 
 use adp_core::prelude::*;
 use adp_relation::{Column, Record, Schema, Table, Value, ValueType};

@@ -99,7 +99,9 @@ impl SessionStats {
         vo_bytes: &[u8],
         verify: impl FnOnce() -> Result<(T, usize, usize), VerifyError>,
     ) -> Result<(T, Duration), VerifyError> {
-        let ops_before = adp_crypto::hash_ops();
+        // The calling thread's own count: the process-wide counter would
+        // fold in whatever other sessions or a server hash meanwhile.
+        let ops_before = adp_crypto::thread_hash_ops();
         let start = Instant::now();
         let (verified, rows, signatures) = verify()?;
         let elapsed = start.elapsed();
@@ -108,7 +110,7 @@ impl SessionStats {
         self.result_bytes += result_bytes.len();
         self.vo_bytes += vo_bytes.len();
         self.signatures_verified += signatures;
-        self.hash_ops += adp_crypto::hash_ops().saturating_sub(ops_before);
+        self.hash_ops += adp_crypto::thread_hash_ops() - ops_before;
         self.verify_time += elapsed;
         Ok((verified, elapsed))
     }
@@ -388,6 +390,37 @@ mod tests {
         assert!(stats.vo_bytes > 0 && stats.result_bytes > 0);
         assert!(stats.hash_ops > 0);
         assert!(stats.traffic_overhead_pct() > 0.0);
+    }
+
+    #[test]
+    fn concurrent_sessions_count_only_their_own_hashes() {
+        let (st, cert) = setup();
+        let q = SelectQuery::range(KeyRange::closed(0, 100));
+        let (rows, vo) = Publisher::new(&st).answer_select(&q).unwrap();
+        let (result, vo) = (wire::encode_records(&rows), wire::encode_vo(&vo));
+        let verify = |stats: &mut SessionStats| {
+            stats.verify_select(&cert, &q, &result, &vo).unwrap();
+        };
+        let mut alone = SessionStats::default();
+        verify(&mut alone);
+        assert!(alone.hash_ops > 0);
+
+        // Two sessions verifying the same answer at the same time, released
+        // together, each long enough to overlap the other.
+        const ROUNDS: u64 = 40;
+        let start = std::sync::Barrier::new(2);
+        let session = || {
+            let mut stats = SessionStats::default();
+            start.wait();
+            (0..ROUNDS).for_each(|_| verify(&mut stats));
+            stats
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(session);
+            (session(), other.join().unwrap())
+        });
+        assert_eq!(a.hash_ops, ROUNDS * alone.hash_ops);
+        assert_eq!(b.hash_ops, ROUNDS * alone.hash_ops);
     }
 
     #[test]

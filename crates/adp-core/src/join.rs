@@ -275,56 +275,17 @@ pub fn verify_pkfk_join(
         if attr_root != proof.attrs.root {
             return Err(VerifyError::AttrRootMismatch { entry: i });
         }
-        let (up, down) = match (&s_cert.config.mode, &proof.chains) {
-            (crate::scheme::Mode::Conceptual, EntryChains::Conceptual) => (
-                crate::gdigest::entry_component(
-                    &hasher,
-                    &s_cert.config,
-                    None,
-                    &s_cert.domain,
-                    key,
-                    crate::gdigest::Direction::Up,
-                    None,
-                ),
-                crate::gdigest::entry_component(
-                    &hasher,
-                    &s_cert.config,
-                    None,
-                    &s_cert.domain,
-                    key,
-                    crate::gdigest::Direction::Down,
-                    None,
-                ),
-            ),
-            (
-                crate::scheme::Mode::Optimized { .. },
-                EntryChains::Optimized { up_root, down_root },
-            ) => (
-                crate::gdigest::entry_component(
-                    &hasher,
-                    &s_cert.config,
-                    radix.as_ref(),
-                    &s_cert.domain,
-                    key,
-                    crate::gdigest::Direction::Up,
-                    Some(*up_root),
-                ),
-                crate::gdigest::entry_component(
-                    &hasher,
-                    &s_cert.config,
-                    radix.as_ref(),
-                    &s_cert.domain,
-                    key,
-                    crate::gdigest::Direction::Down,
-                    Some(*down_root),
-                ),
-            ),
-            _ => {
-                return Err(VerifyError::VoShapeMismatch {
-                    detail: "inner chain mode mismatch",
-                })
-            }
-        };
+        let (up, down) = crate::gdigest::entry_components(
+            &hasher,
+            &s_cert.config,
+            radix.as_ref(),
+            &s_cert.domain,
+            key,
+            proof.chains.roots(),
+        )
+        .ok_or(VerifyError::VoShapeMismatch {
+            detail: "inner chain mode mismatch",
+        })?;
         let g = crate::gdigest::GDigest {
             up,
             down,

@@ -14,9 +14,7 @@
 //! the `sec63_updates` experiment.
 
 use crate::domain::Domain;
-use crate::gdigest::{
-    attr_tree, direction_commitment, g_of_delimiter, link_digest, Direction, GDigest,
-};
+use crate::gdigest::{g_of_delimiter, link_digest, materialize_record, GDigest};
 use crate::repr::Radix;
 use crate::scheme::{Mode, SchemeConfig};
 use adp_crypto::{Digest, Hasher, Keypair, PublicKey, Signature};
@@ -324,36 +322,13 @@ impl SignedTable {
 
     /// `g` and rep-roots for one record, from this table's scheme state.
     fn materialize_record(&self, record: &Record) -> (GDigest, Option<(Digest, Digest)>) {
-        let schema = self.table.schema();
-        let key = record.key(schema);
-        let up = direction_commitment(
+        materialize_record(
             &self.hasher,
             &self.config,
             self.radix.as_ref(),
             &self.domain,
-            key,
-            Direction::Up,
-        );
-        let down = direction_commitment(
-            &self.hasher,
-            &self.config,
-            self.radix.as_ref(),
-            &self.domain,
-            key,
-            Direction::Down,
-        );
-        let attrs = attr_tree(&self.hasher, schema, record).root();
-        let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
-            (Some(u), Some(d)) => Some((u.root(), d.root())),
-            _ => None,
-        };
-        (
-            GDigest {
-                up: up.component,
-                down: down.component,
-                attrs,
-            },
-            roots,
+            self.table.schema(),
+            record,
         )
     }
 
@@ -661,36 +636,13 @@ impl SignedTable {
                     None,
                 )
             } else {
-                let record = &table.row(pos - 1).record;
-                let key = record.key(&schema);
-                let up = direction_commitment(
+                materialize_record(
                     &hasher,
                     &config,
                     radix.as_ref(),
                     &domain,
-                    key,
-                    Direction::Up,
-                );
-                let down = direction_commitment(
-                    &hasher,
-                    &config,
-                    radix.as_ref(),
-                    &domain,
-                    key,
-                    Direction::Down,
-                );
-                let attrs = attr_tree(&hasher, &schema, record).root();
-                let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
-                    (Some(u), Some(d)) => Some((u.root(), d.root())),
-                    _ => None,
-                };
-                (
-                    GDigest {
-                        up: up.component,
-                        down: down.component,
-                        attrs,
-                    },
-                    roots,
+                    &schema,
+                    &table.row(pos - 1).record,
                 )
             };
             entries.push(SignedEntry {
@@ -730,34 +682,6 @@ impl Owner {
     /// The owner's public key.
     pub fn public_key(&self) -> &PublicKey {
         self.keypair.public()
-    }
-
-    /// Computes `g` and rep-roots for one record.
-    fn materialize(
-        &self,
-        hasher: &Hasher,
-        config: &SchemeConfig,
-        radix: Option<&Radix>,
-        domain: &Domain,
-        schema: &Schema,
-        record: &Record,
-    ) -> (GDigest, Option<(Digest, Digest)>) {
-        let key = record.key(schema);
-        let up = direction_commitment(hasher, config, radix, domain, key, Direction::Up);
-        let down = direction_commitment(hasher, config, radix, domain, key, Direction::Down);
-        let attrs = attr_tree(hasher, schema, record).root();
-        let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
-            (Some(u), Some(d)) => Some((u.root(), d.root())),
-            _ => None,
-        };
-        (
-            GDigest {
-                up: up.component,
-                down: down.component,
-                attrs,
-            },
-            roots,
-        )
     }
 
     /// Signs a table for publishing. `O(n)` hash chains + `n + 2` RSA
@@ -821,7 +745,7 @@ impl Owner {
                             );
                             (g, None)
                         } else {
-                            self.materialize(
+                            materialize_record(
                                 hasher,
                                 config,
                                 radix,
@@ -919,15 +843,7 @@ impl Owner {
             return Err(OwnerError::KeyOutOfDomain { key });
         }
         st.sig_index.stats().reset();
-        let schema = st.table.schema().clone();
-        let (g, roots) = self.materialize(
-            &st.hasher,
-            &st.config,
-            st.radix.as_ref(),
-            &st.domain,
-            &schema,
-            &record,
-        );
+        let (g, roots) = st.materialize_record(&record);
         let pos = st.table.insert(record)?;
         let cp = pos + 1;
         // Placeholder signature replaced by resign() below.
@@ -998,15 +914,7 @@ impl Owner {
             });
         }
         st.sig_index.stats().reset();
-        let schema = st.table.schema().clone();
-        let (g, roots) = self.materialize(
-            &st.hasher,
-            &st.config,
-            st.radix.as_ref(),
-            &st.domain,
-            &schema,
-            &new_record,
-        );
+        let (g, roots) = st.materialize_record(&new_record);
         st.table.update_in_place(pos, new_record)?;
         let cp = pos + 1;
         st.entries[cp].g = g;

@@ -7,14 +7,14 @@
 //! Section 3.2 (and a few more) so tests can assert each one is caught.
 
 use crate::domain::QueryBounds;
-use crate::gdigest::{digit_chain, direction_commitment, Direction};
+use crate::gdigest::{digit_chain, digit_chains, direction_commitment, Direction};
 use crate::owner::SignedTable;
 use crate::scheme::Mode;
 use crate::vo::{
     AttrProof, BoundaryProof, EmptyProof, EntryChains, EntryProof, PrevG, QueryVO, RangeVO,
     RepProof, SignatureProof,
 };
-use adp_crypto::{AggregateSignature, Digest, HashDomain, Signature};
+use adp_crypto::{AggregateSignature, HashDomain, Signature};
 use adp_relation::{passes_filters, Projection, Record, Schema, SelectQuery, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -316,11 +316,7 @@ impl<'a> Publisher<'a> {
                 let radix = st.radix().expect("optimized mode has a radix");
                 let delta_t = dir.delta_t(domain, key);
                 let (choice, e_digits) = radix.select_representation(delta_t, delta_c);
-                let intermediates: Vec<Digest> = e_digits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| digit_chain(hasher, key, dir, i as u32, d as u64))
-                    .collect();
+                let intermediates = digit_chains(hasher, key, dir, &e_digits);
                 // Rebuild the direction commitment to obtain the rep tree
                 // (the table caches only the roots).
                 let commit =
@@ -650,9 +646,7 @@ pub mod malicious {
             Mode::Conceptual => 1,
             Mode::Optimized { .. } => st.radix().map_or(1, |r| r.digit_count()),
         };
-        let intermediates = (0..count)
-            .map(|i| digit_chain(hasher, key, dir, i as u32, 0))
-            .collect();
+        let intermediates = digit_chains(hasher, key, dir, &vec![0; count]);
         let selector = match st.config().mode {
             Mode::Conceptual => None,
             Mode::Optimized { .. } => {

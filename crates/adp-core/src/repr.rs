@@ -23,6 +23,9 @@
 //! one exists whenever `δ_c ≤ δ_t`; [`Radix::select_representation`]
 //! implements the constructive choice.
 
+/// The most digits any [`Radix`] has: base 2 over a full 64-bit width.
+pub const MAX_DIGITS: usize = 64;
+
 /// A base-`B`, `m+1`-digit positional system covering a domain width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Radix {
@@ -69,7 +72,13 @@ impl Radix {
     /// # Panics
     /// If `δ` does not fit in `m + 1` digits.
     pub fn canonical(&self, delta: u64) -> Vec<u32> {
-        let mut digits = vec![0u32; self.digit_count()];
+        self.canonical_into(delta, &mut [0; MAX_DIGITS]).to_vec()
+    }
+
+    /// [`Self::canonical`] into a caller's stack buffer, for the per-row
+    /// paths: returns the `m + 1` digits written at the front of `buf`.
+    pub fn canonical_into<'a>(&self, delta: u64, buf: &'a mut [u32; MAX_DIGITS]) -> &'a [u32] {
+        let digits = &mut buf[..self.digit_count()];
         let mut rest = delta as u128;
         let b = self.base as u128;
         for d in digits.iter_mut() {

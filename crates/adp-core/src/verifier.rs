@@ -18,7 +18,8 @@
 use crate::domain::QueryBounds;
 use crate::errors::VerifyError;
 use crate::gdigest::{
-    combine_component, entry_component, link_digest, rep_digest, Direction, GDigest,
+    combine_component, entry_components, link_digest, link_digests_of, rep_digest, Direction,
+    GDigest,
 };
 use crate::owner::Certificate;
 use crate::publisher::{attr_position, effective_projection};
@@ -29,8 +30,8 @@ use crate::vo::{
     SignatureProof,
 };
 use adp_crypto::{
-    chain_extend, hasher::HashDomain, root_from_mixed, verify_inclusion, Digest, Hasher, MixedLeaf,
-    PublicKey,
+    chain_extend, chain_extend_many, hasher::HashDomain, root_from_mixed, verify_inclusion, Digest,
+    Hasher, MixedLeaf, PublicKey,
 };
 use adp_relation::{Record, Schema, SelectQuery};
 
@@ -197,16 +198,13 @@ impl<'a> Ctx<'a> {
                 detail: "range VO must contain at least one entry",
             });
         }
-        let mut g_seq: Vec<Vec<u8>> = Vec::with_capacity(rv.entries.len() + 2);
+        let mut g_seq: Vec<GDigest> = Vec::with_capacity(rv.entries.len() + 2);
         let left_comp = self.boundary_component(&rv.left, Direction::Up, bounds, "left")?;
-        g_seq.push(
-            GDigest {
-                up: left_comp,
-                down: rv.left.other_component,
-                attrs: rv.left.attr_root,
-            }
-            .to_bytes(),
-        );
+        g_seq.push(GDigest {
+            up: left_comp,
+            down: rv.left.other_component,
+            attrs: rv.left.attr_root,
+        });
 
         let mut matched = 0usize;
         let mut filtered = 0usize;
@@ -228,15 +226,12 @@ impl<'a> Ctx<'a> {
                         })?;
                     let key = self.check_record(rec, bounds, i)?;
                     let root = self.attr_root_for_record(rec, attrs, i)?;
-                    let (up, down) = self.entry_chain_components(key, chains, i)?;
-                    g_seq.push(
-                        GDigest {
-                            up,
-                            down,
-                            attrs: root,
-                        }
-                        .to_bytes(),
-                    );
+                    let (up, down) = self.entry_chain_components(key, chains)?;
+                    g_seq.push(GDigest {
+                        up,
+                        down,
+                        attrs: root,
+                    });
                     matched += 1;
                     next_record += 1;
                 }
@@ -250,14 +245,11 @@ impl<'a> Ctx<'a> {
                     }
                     self.check_filtered_proven(attrs, i)?;
                     let root = self.attr_root_from_disclosure(attrs, i)?;
-                    g_seq.push(
-                        GDigest {
-                            up: *up_component,
-                            down: *down_component,
-                            attrs: root,
-                        }
-                        .to_bytes(),
-                    );
+                    g_seq.push(GDigest {
+                        up: *up_component,
+                        down: *down_component,
+                        attrs: root,
+                    });
                     filtered += 1;
                 }
                 EntryProof::Duplicate { of, chains, attrs } => {
@@ -278,15 +270,12 @@ impl<'a> Ctx<'a> {
                         .as_int()
                         .ok_or(VerifyError::DuplicateRefInvalid { entry: i })?;
                     let root = self.attr_root_for_record(rec, attrs, i)?;
-                    let (up, down) = self.entry_chain_components(key, chains, i)?;
-                    g_seq.push(
-                        GDigest {
-                            up,
-                            down,
-                            attrs: root,
-                        }
-                        .to_bytes(),
-                    );
+                    let (up, down) = self.entry_chain_components(key, chains)?;
+                    g_seq.push(GDigest {
+                        up,
+                        down,
+                        attrs: root,
+                    });
                     duplicates += 1;
                 }
             }
@@ -310,18 +299,13 @@ impl<'a> Ctx<'a> {
         }
 
         let right_comp = self.boundary_component(&rv.right, Direction::Down, bounds, "right")?;
-        g_seq.push(
-            GDigest {
-                up: rv.right.other_component,
-                down: right_comp,
-                attrs: rv.right.attr_root,
-            }
-            .to_bytes(),
-        );
+        g_seq.push(GDigest {
+            up: rv.right.other_component,
+            down: right_comp,
+            attrs: rv.right.attr_root,
+        });
 
-        let links: Vec<Digest> = (0..rv.entries.len())
-            .map(|i| link_digest(&self.hasher, &g_seq[i], &g_seq[i + 1], &g_seq[i + 2]))
-            .collect();
+        let links = link_digests_of(&self.hasher, &g_seq);
         self.verify_signatures(&links, &rv.signatures)?;
 
         Ok(VerifyReport {
@@ -491,56 +475,18 @@ impl<'a> Ctx<'a> {
         &self,
         key: i64,
         chains: &EntryChains,
-        entry: usize,
     ) -> Result<(Digest, Digest), VerifyError> {
-        match (self.config().mode, chains) {
-            (Mode::Conceptual, EntryChains::Conceptual) => Ok((
-                entry_component(
-                    &self.hasher,
-                    self.config(),
-                    None,
-                    &self.cert.domain,
-                    key,
-                    Direction::Up,
-                    None,
-                ),
-                entry_component(
-                    &self.hasher,
-                    self.config(),
-                    None,
-                    &self.cert.domain,
-                    key,
-                    Direction::Down,
-                    None,
-                ),
-            )),
-            (Mode::Optimized { .. }, EntryChains::Optimized { up_root, down_root }) => Ok((
-                entry_component(
-                    &self.hasher,
-                    self.config(),
-                    self.radix.as_ref(),
-                    &self.cert.domain,
-                    key,
-                    Direction::Up,
-                    Some(*up_root),
-                ),
-                entry_component(
-                    &self.hasher,
-                    self.config(),
-                    self.radix.as_ref(),
-                    &self.cert.domain,
-                    key,
-                    Direction::Down,
-                    Some(*down_root),
-                ),
-            )),
-            _ => {
-                let _ = entry;
-                Err(VerifyError::VoShapeMismatch {
-                    detail: "entry chain mode mismatch",
-                })
-            }
-        }
+        entry_components(
+            &self.hasher,
+            self.config(),
+            self.radix.as_ref(),
+            &self.cert.domain,
+            key,
+            chains.roots(),
+        )
+        .ok_or(VerifyError::VoShapeMismatch {
+            detail: "entry chain mode mismatch",
+        })
     }
 
     /// Figure 8a: derive a boundary record's hidden-key component by
@@ -568,13 +514,12 @@ impl<'a> Ctx<'a> {
                 if proof.intermediates.len() != radix.digit_count() {
                     return Err(VerifyError::BoundaryShapeInvalid { side });
                 }
-                let c_digits = radix.canonical(delta_c);
-                let targets: Vec<Digest> = proof
-                    .intermediates
-                    .iter()
-                    .zip(&c_digits)
-                    .map(|(d, &c)| chain_extend(&self.hasher, *d, c as u64))
-                    .collect();
+                // Every digit's chain extended by its digit of δ_c, all
+                // digits in one bulk call (twice per answer, so plain
+                // vectors do).
+                let steps: Vec<u64> = radix.canonical(delta_c).iter().map(|&c| c as u64).collect();
+                let mut targets = proof.intermediates.clone();
+                chain_extend_many(&self.hasher, &mut targets, &steps);
                 let h_dt = rep_digest(&self.hasher, &targets);
                 match &proof.selector {
                     None => Err(VerifyError::BoundaryShapeInvalid { side }),

@@ -79,6 +79,16 @@ pub enum EntryChains {
     Conceptual,
 }
 
+impl EntryChains {
+    /// The `(up, down)` rep-MHT roots, if this is optimized-mode material.
+    pub fn roots(&self) -> Option<(Digest, Digest)> {
+        match self {
+            EntryChains::Optimized { up_root, down_root } => Some((*up_root, *down_root)),
+            EntryChains::Conceptual => None,
+        }
+    }
+}
+
 /// One position inside the contiguous result range on `K`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EntryProof {

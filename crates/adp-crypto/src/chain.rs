@@ -13,50 +13,65 @@
 //! `Value` hash domain and subsequent steps the `Step` domain, which also
 //! guarantees `h^{-1}(x) != x` structurally (cf. the paper's remark on
 //! choosing `h` with output length different from `|r|`).
+//!
+//! The digit chains of one key — and of its two directions — share no data,
+//! so wherever more than one chain has to move, they advance two at a time
+//! through the two-lane compression kernel ([`chain_run`],
+//! [`chain_extend_many`]).
 
 use crate::digest::Digest;
-use crate::hasher::{HashDomain, Hasher};
+use crate::hasher::{block_of, count_ops, sha256_of, HashDomain, Hasher, Message, Sink};
+use crate::sha256::{digest_of_block, digests_of_blocks};
 
-/// Encodes the tagged pre-image `r|j` of a digit chain.
-#[inline]
-fn tagged(value: &[u8], position: u32) -> Vec<u8> {
-    let mut v = Vec::with_capacity(value.len() + 4);
-    v.extend_from_slice(value);
-    v.extend_from_slice(&position.to_le_bytes());
-    v
+/// The message of `h^0(value|position)`: the tagged pre-image `r|j` as one
+/// length-prefixed part in the `Value` domain.
+struct Tagged<'a> {
+    value: &'a [u8],
+    position: u32,
+}
+
+impl Message for Tagged<'_> {
+    #[inline]
+    fn write_to(&self, sink: &mut impl Sink) {
+        sink.put(&[HashDomain::Value as u8]);
+        sink.put(&(self.value.len() as u32 + 4).to_le_bytes());
+        sink.put(self.value);
+        sink.put(&self.position.to_le_bytes());
+    }
 }
 
 /// Computes `h^steps(value|position)`, i.e. `steps + 1` hash applications
 /// starting from the tagged plaintext value.
 pub fn chain_from_value(hasher: &Hasher, value: &[u8], position: u32, steps: u64) -> Digest {
-    let mut d = hasher.hash(HashDomain::Value, &tagged(value, position));
-    for _ in 0..steps {
-        d = hasher.hash(HashDomain::Step, d.as_bytes());
-    }
-    d
+    let mut out = [hasher.truncate([0; 32])];
+    chain_run(hasher, value, &[(position, steps)], &mut out);
+    out[0]
 }
 
-/// Computes `h^{steps}(value|position)` for a whole run of tagged chains
-/// sharing one value — the owner-side shape in optimized mode, where the
-/// `m+1` digit chains of one key differ only in their position tag. The
-/// tag buffer is built once and patched per chain instead of reallocating.
+/// Computes `h^{steps}(value|position)` into `out[i]` for a whole run of
+/// `(position, steps)` chains sharing one value — the `m+1` digit chains of
+/// one key, in one or both directions, differ only in their position tag.
 ///
-/// Each returned digest is byte-identical to
+/// Each digest is byte-identical to
 /// `chain_from_value(hasher, value, position, steps)`.
-pub fn chain_run(hasher: &Hasher, value: &[u8], tags: &[(u32, u64)]) -> Vec<Digest> {
-    let mut buf = Vec::with_capacity(value.len() + 4);
-    buf.extend_from_slice(value);
-    buf.extend_from_slice(&[0u8; 4]);
-    tags.iter()
-        .map(|&(position, steps)| {
-            buf[value.len()..].copy_from_slice(&position.to_le_bytes());
-            let mut d = hasher.hash(HashDomain::Value, &buf);
-            for _ in 0..steps {
-                d = hasher.hash(HashDomain::Step, d.as_bytes());
-            }
-            d
-        })
-        .collect()
+///
+/// # Panics
+/// If `tags` and `out` differ in length.
+pub fn chain_run(hasher: &Hasher, value: &[u8], tags: &[(u32, u64)], out: &mut [Digest]) {
+    assert_eq!(tags.len(), out.len(), "one output per chain");
+    advance(hasher, out, |i, start, block| {
+        let (position, steps) = tags[i];
+        let first = Tagged { value, position };
+        if block_of(&first, block) {
+            return steps + 1;
+        }
+        // A value too long for one block: `h^0` through the streaming hash,
+        // the steps from there.
+        count_ops(1);
+        *start = hasher.truncate(sha256_of(&first));
+        hasher.step_block(start, block);
+        steps
+    });
 }
 
 /// Extends an intermediate chain digest by `extra` further applications.
@@ -64,66 +79,123 @@ pub fn chain_run(hasher: &Hasher, value: &[u8], tags: &[(u32, u64)]) -> Vec<Dige
 /// This is the user-side operation of Figure 4: the publisher transmits
 /// `h^{δ_e}(r|j)` and the user derives `h^{δ_e + extra}(r|j)`.
 pub fn chain_extend(hasher: &Hasher, digest: Digest, extra: u64) -> Digest {
-    let mut d = digest;
-    for _ in 0..extra {
-        d = hasher.hash(HashDomain::Step, d.as_bytes());
-    }
-    d
+    let mut d = [digest];
+    chain_extend_many(hasher, &mut d, &[extra]);
+    d[0]
 }
 
-/// A memoizing walker over one tagged chain, letting the owner pick up
-/// several intermediate points (`h^{δ}`, `h^{δ+B-1}`, `h^{δ+B}`, …) while
-/// hashing each prefix only once.
-pub struct ChainWalker<'a> {
-    hasher: &'a Hasher,
-    current: Digest,
-    /// Number of *steps* taken so far (`h^{steps}` reached).
-    steps: u64,
+/// Extends every `digests[i]` by `steps[i]` further applications, in place:
+/// [`chain_extend`] over a set of independent chains (Figure 8a's per-digit
+/// extension), two chains at a time.
+///
+/// # Panics
+/// If `digests` and `steps` differ in length.
+pub fn chain_extend_many(hasher: &Hasher, digests: &mut [Digest], steps: &[u64]) {
+    assert_eq!(digests.len(), steps.len(), "one step count per chain");
+    advance(hasher, digests, |i, start, block| {
+        hasher.step_block(start, block);
+        steps[i]
+    });
 }
 
-impl<'a> ChainWalker<'a> {
-    /// Starts a walker at `h^0(value|position)`.
-    pub fn new(hasher: &'a Hasher, value: &[u8], position: u32) -> Self {
-        let current = hasher.hash(HashDomain::Value, &tagged(value, position));
-        ChainWalker {
-            hasher,
-            current,
-            steps: 0,
-        }
+/// The one place chains advance. For chain `i`, `load(i, &mut digests[i],
+/// block)` writes the chain's first one-block message and returns how many
+/// compressions lead from it to the wanted digest (0: `digests[i]` already
+/// is that digest). Two lanes each hold one chain's current message and
+/// compress together; a finished lane writes its digest back and takes the
+/// next waiting chain, and the last chain standing finishes alone.
+fn advance(
+    hasher: &Hasher,
+    digests: &mut [Digest],
+    mut load: impl FnMut(usize, &mut Digest, &mut [u8; 64]) -> u64,
+) {
+    /// What a lane is working on.
+    #[derive(Clone, Copy)]
+    struct Lane {
+        chain: usize,
+        /// Compressions still to run.
+        left: u64,
+        /// The block is still what `load` wrote — a value message, or the
+        /// step message of a digest of another length — and not yet this
+        /// hasher's fixed step layout, in which only the digest bytes change.
+        loaded: bool,
     }
 
-    /// Advances to `h^steps` and returns that digest.
-    ///
-    /// # Panics
-    /// If asked to move backwards (chains are one-way).
-    pub fn at(&mut self, steps: u64) -> Digest {
-        assert!(
-            steps >= self.steps,
-            "hash chains cannot be walked backwards"
-        );
-        while self.steps < steps {
-            self.current = self.hasher.hash(HashDomain::Step, self.current.as_bytes());
-            self.steps += 1;
+    let mut ops = 0;
+    let mut next = 0;
+    let mut take = |digests: &mut [Digest], block: &mut [u8; 64]| {
+        while next < digests.len() {
+            let chain = next;
+            next += 1;
+            let left = load(chain, &mut digests[chain], block);
+            ops += left;
+            if left > 0 {
+                return Some(Lane {
+                    chain,
+                    left,
+                    loaded: true,
+                });
+            }
         }
-        self.current
-    }
+        None
+    };
+    // After a compression that was not the chain's last: the next step
+    // message replaces the one just hashed.
+    let step_on = |lane: &mut Lane, block: &mut [u8; 64], full: &[u8; 32]| {
+        if lane.loaded {
+            hasher.step_block(&hasher.truncate(*full), block);
+            lane.loaded = false;
+        } else {
+            hasher.restep(block, full);
+        }
+    };
 
-    /// Current position (number of steps taken).
-    pub fn position(&self) -> u64 {
-        self.steps
+    let mut blocks = [[0u8; 64]; 2];
+    let mut lanes = [None; 2];
+    for (lane, block) in lanes.iter_mut().zip(&mut blocks) {
+        *lane = take(digests, block);
     }
+    while let [Some(_), Some(_)] = lanes {
+        let fulls = digests_of_blocks([&blocks[0], &blocks[1]]);
+        for i in 0..2 {
+            let lane = lanes[i].as_mut().expect("both lanes are loaded");
+            lane.left -= 1;
+            if lane.left > 0 {
+                step_on(lane, &mut blocks[i], &fulls[i]);
+            } else {
+                digests[lane.chain] = hasher.truncate(fulls[i]);
+                lanes[i] = take(digests, &mut blocks[i]);
+            }
+        }
+    }
+    // Nothing is waiting any more and at most one lane is still loaded.
+    for (lane, block) in lanes.into_iter().zip(&mut blocks) {
+        let Some(mut lane) = lane else { continue };
+        let mut full = digest_of_block(block);
+        for _ in 1..lane.left {
+            step_on(&mut lane, block, &full);
+            full = digest_of_block(block);
+        }
+        digests[lane.chain] = hasher.truncate(full);
+    }
+    count_ops(ops);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hasher::{hash_ops, Hasher};
+    use crate::hasher::{thread_hash_ops, Hasher};
 
-    /// The hash-op counter is process-global; serialize the tests that
-    /// assert exact op counts so parallel tests cannot pollute them.
-    fn count_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn tagged(value: &[u8], position: u32) -> Vec<u8> {
+        [value, &position.to_le_bytes()].concat()
+    }
+
+    /// Hash applications `f` performs, read off the calling thread's
+    /// counter so that tests hashing in parallel cannot disturb it.
+    fn ops_of<T>(f: impl FnOnce() -> T) -> u64 {
+        let before = thread_hash_ops();
+        f();
+        thread_hash_ops() - before
     }
 
     #[test]
@@ -131,6 +203,21 @@ mod tests {
         let h = Hasher::default();
         let d = chain_from_value(&h, b"r", 0, 0);
         assert_eq!(d, h.hash(HashDomain::Value, &tagged(b"r", 0)));
+    }
+
+    #[test]
+    fn steps_are_step_domain_hashes() {
+        // Also for a value whose first message outgrows one block.
+        let h = Hasher::new(20);
+        for value in [&b"r"[..], &[7u8; 60][..]] {
+            let mut expected = h.hash(HashDomain::Value, &tagged(value, 9));
+            assert_eq!(chain_from_value(&h, value, 9, 0), expected);
+            for _ in 0..3 {
+                expected = h.hash(HashDomain::Step, expected.as_bytes());
+            }
+            assert_eq!(chain_from_value(&h, value, 9, 3), expected);
+            assert_eq!(ops_of(|| chain_from_value(&h, value, 9, 3)), 4);
+        }
     }
 
     #[test]
@@ -152,12 +239,45 @@ mod tests {
     #[test]
     fn chain_run_matches_singles() {
         let h = Hasher::default();
-        let tags = [(0u32, 0u64), (1, 5), (0x8000_0002, 13), (3, 1)];
-        let bulk = chain_run(&h, b"shared-key", &tags);
-        assert_eq!(bulk.len(), 4);
-        for (d, &(pos, steps)) in bulk.iter().zip(&tags) {
-            assert_eq!(*d, chain_from_value(&h, b"shared-key", pos, steps));
+        let tags = [(0u32, 0u64), (1, 5), (0x8000_0002, 13), (3, 1), (4, 2)];
+        for n in 0..=tags.len() {
+            let mut bulk = vec![h.hash(HashDomain::Data, b"filler"); n];
+            chain_run(&h, b"shared-key", &tags[..n], &mut bulk);
+            for (d, &(pos, steps)) in bulk.iter().zip(&tags) {
+                assert_eq!(*d, chain_from_value(&h, b"shared-key", pos, steps));
+            }
         }
+    }
+
+    #[test]
+    fn extend_many_matches_singles_for_uneven_steps() {
+        let h = Hasher::new(32);
+        let starts: Vec<Digest> = (0..7u32)
+            .map(|i| chain_from_value(&h, b"k", i, 0))
+            .collect();
+        let steps = [3u64, 0, 1, 9, 0, 2, 2];
+        let mut bulk = starts.clone();
+        chain_extend_many(&h, &mut bulk, &steps);
+        for ((b, s), n) in bulk.iter().zip(&starts).zip(steps) {
+            assert_eq!(*b, chain_extend(&h, *s, n));
+        }
+    }
+
+    #[test]
+    fn foreign_length_digest_extends_like_the_plain_hash() {
+        // A 32-byte digest fed to a 16-byte hasher: the first step hashes
+        // all 32 bytes, every later one 16.
+        let wide = Hasher::new(32).hash(HashDomain::Data, b"wide");
+        let h = Hasher::new(16);
+        let mut expected = wide;
+        for _ in 0..3 {
+            expected = h.hash(HashDomain::Step, expected.as_bytes());
+        }
+        assert_eq!(chain_extend(&h, wide, 3), expected);
+        let mut pair = [wide, chain_from_value(&h, b"k", 0, 0)];
+        chain_extend_many(&h, &mut pair, &[3, 3]);
+        assert_eq!(pair[0], expected);
+        assert_eq!(chain_extend(&h, wide, 0), wide);
     }
 
     #[test]
@@ -191,53 +311,25 @@ mod tests {
     }
 
     #[test]
-    fn walker_matches_direct() {
-        let h = Hasher::default();
-        let mut w = ChainWalker::new(&h, b"walk", 3);
-        assert_eq!(w.at(0), chain_from_value(&h, b"walk", 3, 0));
-        assert_eq!(w.at(2), chain_from_value(&h, b"walk", 3, 2));
-        assert_eq!(w.at(2), chain_from_value(&h, b"walk", 3, 2)); // idempotent
-        assert_eq!(w.at(9), chain_from_value(&h, b"walk", 3, 9));
-        assert_eq!(w.position(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn walker_cannot_go_back() {
-        let h = Hasher::default();
-        let mut w = ChainWalker::new(&h, b"walk", 0);
-        let _ = w.at(5);
-        let _ = w.at(4);
-    }
-
-    /// Measures `f`'s hash-op count, retrying because the process-global
-    /// counter can be inflated by tests hashing in parallel threads; an
-    /// undisturbed trial yields the exact count.
-    fn exact_ops(expected: u64, f: impl Fn()) -> bool {
-        let _guard = count_lock();
-        (0..100).any(|_| {
-            let before = hash_ops();
-            f();
-            hash_ops() - before == expected
-        })
-    }
-
-    #[test]
-    fn walker_saves_hash_ops() {
-        let h = Hasher::default();
-        // 1 initial application + 20 steps.
-        assert!(exact_ops(21, || {
-            let mut w = ChainWalker::new(&h, b"x", 0);
-            let _ = w.at(10);
-            let _ = w.at(20);
-        }));
-    }
-
-    #[test]
     fn chain_cost_is_steps_plus_one() {
         let h = Hasher::default();
-        assert!(exact_ops(8, || {
-            let _ = chain_from_value(&h, b"x", 0, 7);
-        }));
+        assert_eq!(ops_of(|| chain_from_value(&h, b"x", 0, 7)), 8);
+    }
+
+    #[test]
+    fn extension_costs_its_steps() {
+        let h = Hasher::default();
+        let start = chain_from_value(&h, b"x", 0, 0);
+        assert_eq!(ops_of(|| chain_extend(&h, start, 20)), 20);
+        assert_eq!(ops_of(|| chain_extend(&h, start, 0)), 0);
+    }
+
+    #[test]
+    fn bulk_run_costs_what_the_singles_cost() {
+        let h = Hasher::default();
+        let tags = [(0u32, 0u64), (1, 5), (2, 1)];
+        let mut out = [chain_from_value(&h, b"x", 0, 0); 3];
+        // (0 + 1) + (5 + 1) + (1 + 1) applications, counted per call.
+        assert_eq!(ops_of(|| chain_run(&h, b"x", &tags, &mut out)), 9);
     }
 }

@@ -42,6 +42,24 @@ impl Digest {
         }
     }
 
+    /// The first `len` bytes of a full hash output; `len` is a
+    /// [`crate::Hasher`]'s validated digest length.
+    #[inline]
+    pub(crate) fn truncated(mut full: [u8; MAX_DIGEST_LEN], len: usize) -> Self {
+        debug_assert!((MIN_DIGEST_LEN..=MAX_DIGEST_LEN).contains(&len));
+        // The first 16 bytes always stay; mask the upper half down to its
+        // first `len - 16`. Branch-free on purpose: this sits behind every
+        // hash, and a variable-length `fill` would be a `memset` call.
+        let keep_bits = 8 * (len as u32 - 16);
+        let mask = u128::MAX.checked_shr(128 - keep_bits).unwrap_or(0);
+        let upper = u128::from_le_bytes(full[16..].try_into().expect("16 bytes")) & mask;
+        full[16..].copy_from_slice(&upper.to_le_bytes());
+        Digest {
+            bytes: full,
+            len: len as u8,
+        }
+    }
+
     /// The active digest bytes.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {

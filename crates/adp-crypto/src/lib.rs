@@ -25,6 +25,9 @@
 //! authenticity guarantees and cost profile — the purpose of this
 //! repository — not for protecting production data.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod aggregate;
 pub mod bigint;
 pub mod chain;
@@ -36,9 +39,9 @@ pub mod sha256;
 
 pub use aggregate::AggregateSignature;
 pub use bigint::BigUint;
-pub use chain::{chain_extend, chain_from_value, chain_run, ChainWalker};
+pub use chain::{chain_extend, chain_extend_many, chain_from_value, chain_run};
 pub use digest::Digest;
-pub use hasher::{hash_ops, reset_hash_ops, HashDomain, Hasher};
+pub use hasher::{hash_ops, reset_hash_ops, thread_hash_ops, HashDomain, Hasher};
 pub use merkle::{
     root_from_mixed, root_from_range, verify_inclusion, InclusionProof, MerkleTree, MixedLeaf,
     ProofStep, RangeProofNode,

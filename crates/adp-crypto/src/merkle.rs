@@ -65,27 +65,14 @@ impl MerkleTree {
         assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
         let mut levels = vec![leaves];
         while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            let mut i = 0;
-            while i + 1 < prev.len() {
-                next.push(hasher.hash_digests(HashDomain::Node, &[prev[i], prev[i + 1]]));
-                i += 2;
-            }
-            if i < prev.len() {
-                next.push(prev[i]); // promote odd node
-            }
-            levels.push(next);
+            levels.push(next_level(&hasher, levels.last().unwrap()));
         }
         MerkleTree { levels, hasher }
     }
 
     /// Convenience: hashes raw byte leaves (domain `Leaf`) then builds.
     pub fn from_values(hasher: Hasher, values: &[&[u8]]) -> Self {
-        let leaves = values
-            .iter()
-            .map(|v| hasher.hash(HashDomain::Leaf, v))
-            .collect();
+        let leaves = hasher.hash_each(HashDomain::Leaf, values.iter().copied());
         Self::build(hasher, leaves)
     }
 
@@ -169,6 +156,16 @@ impl MerkleTree {
     }
 }
 
+/// The level above `level`: adjacent pairs hashed (two nodes at a time), an
+/// odd last node promoted unchanged.
+fn next_level(hasher: &Hasher, level: &[Digest]) -> Vec<Digest> {
+    let mut next = hasher.hash_pairs(HashDomain::Node, level);
+    if level.len() % 2 == 1 {
+        next.push(level[level.len() - 1]);
+    }
+    next
+}
+
 /// A node disclosed by [`MerkleTree::prove_range`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RangeProofNode {
@@ -197,24 +194,24 @@ pub fn verify_inclusion(hasher: &Hasher, leaf: Digest, proof: &InclusionProof) -
 /// for selected columns, digests for projected-out ones (Section 4.2).
 pub fn root_from_mixed(hasher: &Hasher, leaves: &[MixedLeaf<'_>]) -> Digest {
     assert!(!leaves.is_empty());
+    let mut hashed = hasher
+        .hash_each(
+            HashDomain::Leaf,
+            leaves.iter().filter_map(|l| match l {
+                MixedLeaf::Value(v) => Some(*v),
+                MixedLeaf::Digest(_) => None,
+            }),
+        )
+        .into_iter();
     let mut level: Vec<Digest> = leaves
         .iter()
         .map(|l| match l {
-            MixedLeaf::Value(v) => hasher.hash(HashDomain::Leaf, v),
+            MixedLeaf::Value(_) => hashed.next().expect("one digest per value leaf"),
             MixedLeaf::Digest(d) => *d,
         })
         .collect();
     while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut i = 0;
-        while i + 1 < level.len() {
-            next.push(hasher.hash_digests(HashDomain::Node, &[level[i], level[i + 1]]));
-            i += 2;
-        }
-        if i < level.len() {
-            next.push(level[i]);
-        }
-        level = next;
+        level = next_level(hasher, &level);
     }
     level[0]
 }
@@ -270,20 +267,12 @@ pub fn root_from_range(
             hi += 1;
         }
         // Pair up this level.
-        let mut next_nodes = Vec::with_capacity(nodes.len() / 2 + 1);
-        let mut i = 0;
-        while i + 1 < nodes.len() {
-            next_nodes.push(hasher.hash_digests(HashDomain::Node, &[nodes[i], nodes[i + 1]]));
-            i += 2;
+        // An unpaired node is only legal as the promoted odd tail of the
+        // level.
+        if nodes.len() % 2 == 1 && (hi != level_len - 1 || level_len.is_multiple_of(2)) {
+            return None;
         }
-        if i < nodes.len() {
-            // Only legal if this node is the promoted odd tail of the level.
-            if hi != level_len - 1 || level_len.is_multiple_of(2) {
-                return None;
-            }
-            next_nodes.push(nodes[i]);
-        }
-        nodes = next_nodes;
+        nodes = next_level(hasher, &nodes);
         lo /= 2;
         hi /= 2;
         level_len = level_len.div_ceil(2);

@@ -18,7 +18,14 @@
 //! * on x86-64 CPUs with the SHA extensions, whole-block runs go through a
 //!   hardware kernel built on `sha256rnds2`/`sha256msg1`/`sha256msg2`
 //!   (runtime-detected once, scalar fallback everywhere else) — a ~3–5×
-//!   speedup that feeds every chain, Merkle, and FDH operation above.
+//!   speedup that feeds every chain, Merkle, and FDH operation above;
+//! * a message that is one block once padded — nearly every message of the
+//!   scheme — goes from its block to digest bytes in one kernel call
+//!   (`digest_of_block`), with no streaming state around it;
+//! * two independent blocks share one kernel call ([`compress2`],
+//!   `digests_of_blocks`): a single block is bound by the latency of
+//!   `sha256rnds2`, not by its throughput, and a second dependency chain
+//!   interleaved with the first rides in the gaps.
 //!
 //! Callers either feed bytes incrementally through [`Sha256::update`] or use
 //! the one-shot [`sha256`] helper.
@@ -44,19 +51,86 @@ const K: [u32; 64] = [
 
 /// Compresses a run of whole 64-byte blocks from `data` into `state`,
 /// dispatching to the hardware kernel when the CPU has one.
-fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
-    debug_assert!(data.len().is_multiple_of(64));
+///
+/// # Panics
+/// If `data.len()` is not a multiple of 64.
+pub fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    assert!(data.len().is_multiple_of(64), "whole blocks only");
     #[cfg(target_arch = "x86_64")]
     if shani::available() {
-        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features.
+        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features the
+        // kernel is compiled for; it has no other precondition.
         unsafe { shani::compress_blocks(state, data) };
         return;
     }
     compress_blocks_scalar(state, data);
 }
 
+/// Compresses two **independent** blocks into two independent states:
+/// `states[i]` absorbs `blocks[i]`, exactly as two [`compress_blocks`]
+/// calls would. `sha256rnds2` has a multi-cycle latency and each round
+/// depends on the one before, so a single block leaves the SHA unit idle
+/// most of the time; the hardware kernel interleaves the two dependency
+/// chains instruction by instruction and fills those slots. Hosts without
+/// the extensions run the lanes one after the other.
+pub fn compress2(states: &mut [[u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features the
+        // kernel is compiled for; it has no other precondition.
+        unsafe { shani::compress2(states, blocks) };
+        return;
+    }
+    compress_blocks_scalar(&mut states[0], blocks[0]);
+    compress_blocks_scalar(&mut states[1], blocks[1]);
+}
+
+/// SHA-256 of a message that padding has already turned into exactly one
+/// block (at most 55 message bytes, then `0x80`, zeros, and the bit length).
+#[inline]
+pub(crate) fn digest_of_block(block: &[u8; 64]) -> [u8; 32] {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features the
+        // kernel is compiled for; it has no other precondition.
+        return unsafe { shani::digest_of_block(block) };
+    }
+    digest_of_block_scalar(block)
+}
+
+/// Two-lane [`digest_of_block`].
+#[inline]
+pub(crate) fn digests_of_blocks(blocks: [&[u8; 64]; 2]) -> [[u8; 32]; 2] {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features the
+        // kernel is compiled for; it has no other precondition.
+        return unsafe { shani::digests_of_blocks(blocks) };
+    }
+    blocks.map(digest_of_block_scalar)
+}
+
+/// [`digest_of_block`] on hosts without the SHA extensions.
+fn digest_of_block_scalar(block: &[u8; 64]) -> [u8; 32] {
+    let mut state = H0;
+    compress_blocks_scalar(&mut state, block);
+    state_bytes(&state)
+}
+
+/// The big-endian byte form of a hash state (FIPS 180-4 §6.2.2 step 4).
+#[inline]
+fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
 /// Portable block compression (FIPS 180-4 §6.2.2), one block per iteration.
-fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
+/// Public so that differential tests can hold the hardware kernels to it on
+/// hosts where [`compress_blocks`] never dispatches here.
+pub fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
     for block in data.chunks_exact(64) {
         let mut w = [0u32; 64];
         for i in 0..16 {
@@ -112,11 +186,18 @@ fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
 /// Hardware SHA-256 via the x86 SHA extensions (`sha256rnds2` executes two
 /// rounds per instruction; `sha256msg1`/`sha256msg2` run the message
 /// schedule). State is held in the ABEF/CDGH register split the
-/// instructions expect; the prologue/epilogue shuffles translate to and
+/// instructions expect; [`load_state`]/[`store_state`] translate to and
 /// from the FIPS `a..h` word order.
+///
+/// Every kernel here is a safe `#[target_feature]` function: the only
+/// obligation, which makes *calling* one from ordinary code `unsafe`, is
+/// that the CPU has the `sha`, `ssse3` and `sse4.1` features
+/// ([`available`]). Inside, the register intrinsics are safe; only the
+/// unaligned loads and stores through raw pointers are `unsafe`, and each is
+/// confined to a helper that takes a fixed-size array reference.
 #[cfg(target_arch = "x86_64")]
 mod shani {
-    use super::K;
+    use super::{H0, K};
     use core::arch::x86_64::*;
 
     /// Whether the CPU exposes the needed extensions (detected once).
@@ -130,94 +211,266 @@ mod shani {
         })
     }
 
-    /// # Safety
-    /// The `sha`, `ssse3`, and `sse4.1` CPU features must be present
-    /// (guaranteed by [`available`]). `data.len()` must be a multiple of 64.
+    /// One lane's state in the ABEF / CDGH split.
+    type Lane = (__m128i, __m128i);
+
+    /// Loads `[a,b,c,d],[e,f,g,h]` and repacks it into ABEF / CDGH.
+    #[inline]
     #[target_feature(enable = "sha,ssse3,sse4.1")]
-    pub unsafe fn compress_blocks(state: &mut [u32; 8], mut data: &[u8]) {
-        // Per-32-bit-word big-endian → little-endian byte shuffle.
-        let mask = _mm_set_epi64x(
-            0x0c0d0e0f_08090a0b_u64 as i64,
-            0x04050607_00010203_u64 as i64,
-        );
-        // Repack [a,b,c,d],[e,f,g,h] into ABEF / CDGH.
-        let tmp = _mm_loadu_si128(state.as_ptr().cast());
-        let st1 = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let tmp = _mm_shuffle_epi32(tmp, 0xB1);
-        let st1 = _mm_shuffle_epi32(st1, 0x1B);
-        let mut state0 = _mm_alignr_epi8(tmp, st1, 8);
-        let mut state1 = _mm_blend_epi16(st1, tmp, 0xF0);
+    fn load_state(state: &[u32; 8]) -> Lane {
+        // SAFETY: `state` is 32 readable bytes; the two unaligned 16-byte
+        // loads read bytes 0..16 and 16..32 of it.
+        let (abcd, efgh) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        let tmp = _mm_shuffle_epi32(abcd, 0xB1);
+        let st1 = _mm_shuffle_epi32(efgh, 0x1B);
+        (
+            _mm_alignr_epi8(tmp, st1, 8),
+            _mm_blend_epi16(st1, tmp, 0xF0),
+        )
+    }
 
-        while data.len() >= 64 {
-            let abef_save = state0;
-            let cdgh_save = state1;
-
-            // Four rounds: two sha256rnds2, feeding K+W pairs low then high.
-            macro_rules! qrounds {
-                ($k:expr, $w:expr) => {{
-                    let kw = _mm_add_epi32($w, _mm_loadu_si128(K.as_ptr().add($k).cast()));
-                    state1 = _mm_sha256rnds2_epu32(state1, state0, kw);
-                    let kw = _mm_shuffle_epi32(kw, 0x0E);
-                    state0 = _mm_sha256rnds2_epu32(state0, state1, kw);
-                }};
-            }
-            // Next four schedule words:
-            // w0 ← msg2( msg1(w0, w1) + (w3:w2 >> 32), w3 ).
-            macro_rules! sched {
-                ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {{
-                    let t = _mm_alignr_epi8($w3, $w2, 4);
-                    $w0 = _mm_sha256msg1_epu32($w0, $w1);
-                    $w0 = _mm_add_epi32($w0, t);
-                    $w0 = _mm_sha256msg2_epu32($w0, $w3);
-                }};
-            }
-
-            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(data.as_ptr().cast()), mask);
-            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(data.as_ptr().add(16).cast()), mask);
-            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(data.as_ptr().add(32).cast()), mask);
-            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(data.as_ptr().add(48).cast()), mask);
-
-            qrounds!(0, w0);
-            qrounds!(4, w1);
-            qrounds!(8, w2);
-            qrounds!(12, w3);
-            sched!(w0, w1, w2, w3);
-            qrounds!(16, w0);
-            sched!(w1, w2, w3, w0);
-            qrounds!(20, w1);
-            sched!(w2, w3, w0, w1);
-            qrounds!(24, w2);
-            sched!(w3, w0, w1, w2);
-            qrounds!(28, w3);
-            sched!(w0, w1, w2, w3);
-            qrounds!(32, w0);
-            sched!(w1, w2, w3, w0);
-            qrounds!(36, w1);
-            sched!(w2, w3, w0, w1);
-            qrounds!(40, w2);
-            sched!(w3, w0, w1, w2);
-            qrounds!(44, w3);
-            sched!(w0, w1, w2, w3);
-            qrounds!(48, w0);
-            sched!(w1, w2, w3, w0);
-            qrounds!(52, w1);
-            sched!(w2, w3, w0, w1);
-            qrounds!(56, w2);
-            sched!(w3, w0, w1, w2);
-            qrounds!(60, w3);
-
-            state0 = _mm_add_epi32(state0, abef_save);
-            state1 = _mm_add_epi32(state1, cdgh_save);
-            data = &data[64..];
-        }
-
-        // Unpack ABEF / CDGH back to [a,b,c,d],[e,f,g,h].
-        let tmp = _mm_shuffle_epi32(state0, 0x1B);
-        let st1 = _mm_shuffle_epi32(state1, 0xB1);
+    /// Unpacks ABEF / CDGH back into `[a,b,c,d],[e,f,g,h]`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn store_state(state: &mut [u32; 8], (abef, cdgh): Lane) {
+        let tmp = _mm_shuffle_epi32(abef, 0x1B);
+        let st1 = _mm_shuffle_epi32(cdgh, 0xB1);
         let abcd = _mm_blend_epi16(tmp, st1, 0xF0);
         let efgh = _mm_alignr_epi8(st1, tmp, 8);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), abcd);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), efgh);
+        // SAFETY: `state` is 32 writable bytes, exclusively borrowed; the
+        // two unaligned 16-byte stores write bytes 0..16 and 16..32 of it.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), abcd);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), efgh);
+        }
+    }
+
+    /// Per-32-bit-word big-endian ↔ little-endian byte shuffle.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn word_swap() -> __m128i {
+        _mm_set_epi64x(
+            0x0c0d0e0f_08090a0b_u64 as i64,
+            0x04050607_00010203_u64 as i64,
+        )
+    }
+
+    /// Unpacks ABEF / CDGH into the big-endian digest bytes. Done here, on
+    /// registers and with two 16-byte stores, so that whoever reads the
+    /// digest next reads what one store wrote (word-by-word `to_be_bytes`
+    /// would leave every later 16-byte load waiting on four narrow stores).
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn digest_bytes((abef, cdgh): Lane) -> [u8; 32] {
+        let tmp = _mm_shuffle_epi32(abef, 0x1B);
+        let st1 = _mm_shuffle_epi32(cdgh, 0xB1);
+        let abcd = _mm_shuffle_epi8(_mm_blend_epi16(tmp, st1, 0xF0), word_swap());
+        let efgh = _mm_shuffle_epi8(_mm_alignr_epi8(st1, tmp, 8), word_swap());
+        let mut out = [0u8; 32];
+        // SAFETY: `out` is 32 writable bytes owned by this frame; the two
+        // unaligned 16-byte stores write bytes 0..16 and 16..32 of it.
+        unsafe {
+            _mm_storeu_si128(out.as_mut_ptr().cast(), abcd);
+            _mm_storeu_si128(out.as_mut_ptr().add(16).cast(), efgh);
+        }
+        out
+    }
+
+    /// Loads one block as four vectors of big-endian message words.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn load_block(block: &[u8; 64]) -> [__m128i; 4] {
+        // SAFETY: `block` is 64 readable bytes; the four unaligned 16-byte
+        // loads read bytes 0..16, 16..32, 32..48 and 48..64 of it.
+        let raw = unsafe {
+            [
+                _mm_loadu_si128(block.as_ptr().cast()),
+                _mm_loadu_si128(block.as_ptr().add(16).cast()),
+                _mm_loadu_si128(block.as_ptr().add(32).cast()),
+                _mm_loadu_si128(block.as_ptr().add(48).cast()),
+            ]
+        };
+        raw.map(|v| _mm_shuffle_epi8(v, word_swap()))
+    }
+
+    /// Round constants `K[i..i + 4]`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn k4(i: usize) -> __m128i {
+        let four: &[u32; 4] = K[i..i + 4].try_into().expect("four round constants");
+        // SAFETY: `four` is 16 readable bytes; one unaligned 16-byte load.
+        unsafe { _mm_loadu_si128(four.as_ptr().cast()) }
+    }
+
+    /// The 64 rounds of one block on one lane, feed-forward included.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn rounds((abef, cdgh): Lane, block: &[u8; 64]) -> Lane {
+        let (mut state0, mut state1) = (abef, cdgh);
+
+        // Four rounds: two sha256rnds2, feeding K+W pairs low then high.
+        macro_rules! qrounds {
+            ($k:expr, $w:expr) => {{
+                let kw = _mm_add_epi32($w, k4($k));
+                state1 = _mm_sha256rnds2_epu32(state1, state0, kw);
+                let kw = _mm_shuffle_epi32(kw, 0x0E);
+                state0 = _mm_sha256rnds2_epu32(state0, state1, kw);
+            }};
+        }
+        // Next four schedule words:
+        // w0 ← msg2( msg1(w0, w1) + (w3:w2 >> 32), w3 ).
+        macro_rules! sched {
+            ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {{
+                let t = _mm_alignr_epi8($w3, $w2, 4);
+                $w0 = _mm_sha256msg1_epu32($w0, $w1);
+                $w0 = _mm_add_epi32($w0, t);
+                $w0 = _mm_sha256msg2_epu32($w0, $w3);
+            }};
+        }
+
+        let [mut w0, mut w1, mut w2, mut w3] = load_block(block);
+
+        qrounds!(0, w0);
+        qrounds!(4, w1);
+        qrounds!(8, w2);
+        qrounds!(12, w3);
+        sched!(w0, w1, w2, w3);
+        qrounds!(16, w0);
+        sched!(w1, w2, w3, w0);
+        qrounds!(20, w1);
+        sched!(w2, w3, w0, w1);
+        qrounds!(24, w2);
+        sched!(w3, w0, w1, w2);
+        qrounds!(28, w3);
+        sched!(w0, w1, w2, w3);
+        qrounds!(32, w0);
+        sched!(w1, w2, w3, w0);
+        qrounds!(36, w1);
+        sched!(w2, w3, w0, w1);
+        qrounds!(40, w2);
+        sched!(w3, w0, w1, w2);
+        qrounds!(44, w3);
+        sched!(w0, w1, w2, w3);
+        qrounds!(48, w0);
+        sched!(w1, w2, w3, w0);
+        qrounds!(52, w1);
+        sched!(w2, w3, w0, w1);
+        qrounds!(56, w2);
+        sched!(w3, w0, w1, w2);
+        qrounds!(60, w3);
+
+        (_mm_add_epi32(state0, abef), _mm_add_epi32(state1, cdgh))
+    }
+
+    /// [`rounds`] on two lanes, one block each: lane `a` and lane `b` never
+    /// exchange data, and every instruction of one is followed by the same
+    /// instruction of the other, so each `sha256rnds2` issues while its twin
+    /// is in flight.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn rounds2(a: Lane, b: Lane, blocks: [&[u8; 64]; 2]) -> (Lane, Lane) {
+        let (mut a0, mut a1) = a;
+        let (mut b0, mut b1) = b;
+        let mut wa = load_block(blocks[0]);
+        let mut wb = load_block(blocks[1]);
+
+        macro_rules! qrounds2 {
+            ($k:expr, $i:tt) => {{
+                let k = k4($k);
+                let kwa = _mm_add_epi32(wa[$i], k);
+                let kwb = _mm_add_epi32(wb[$i], k);
+                a1 = _mm_sha256rnds2_epu32(a1, a0, kwa);
+                b1 = _mm_sha256rnds2_epu32(b1, b0, kwb);
+                let kwa = _mm_shuffle_epi32(kwa, 0x0E);
+                let kwb = _mm_shuffle_epi32(kwb, 0x0E);
+                a0 = _mm_sha256rnds2_epu32(a0, a1, kwa);
+                b0 = _mm_sha256rnds2_epu32(b0, b1, kwb);
+            }};
+        }
+        macro_rules! sched2 {
+            ($i0:tt, $i1:tt, $i2:tt, $i3:tt) => {{
+                let ta = _mm_alignr_epi8(wa[$i3], wa[$i2], 4);
+                let tb = _mm_alignr_epi8(wb[$i3], wb[$i2], 4);
+                wa[$i0] = _mm_sha256msg1_epu32(wa[$i0], wa[$i1]);
+                wb[$i0] = _mm_sha256msg1_epu32(wb[$i0], wb[$i1]);
+                wa[$i0] = _mm_add_epi32(wa[$i0], ta);
+                wb[$i0] = _mm_add_epi32(wb[$i0], tb);
+                wa[$i0] = _mm_sha256msg2_epu32(wa[$i0], wa[$i3]);
+                wb[$i0] = _mm_sha256msg2_epu32(wb[$i0], wb[$i3]);
+            }};
+        }
+
+        qrounds2!(0, 0);
+        qrounds2!(4, 1);
+        qrounds2!(8, 2);
+        qrounds2!(12, 3);
+        sched2!(0, 1, 2, 3);
+        qrounds2!(16, 0);
+        sched2!(1, 2, 3, 0);
+        qrounds2!(20, 1);
+        sched2!(2, 3, 0, 1);
+        qrounds2!(24, 2);
+        sched2!(3, 0, 1, 2);
+        qrounds2!(28, 3);
+        sched2!(0, 1, 2, 3);
+        qrounds2!(32, 0);
+        sched2!(1, 2, 3, 0);
+        qrounds2!(36, 1);
+        sched2!(2, 3, 0, 1);
+        qrounds2!(40, 2);
+        sched2!(3, 0, 1, 2);
+        qrounds2!(44, 3);
+        sched2!(0, 1, 2, 3);
+        qrounds2!(48, 0);
+        sched2!(1, 2, 3, 0);
+        qrounds2!(52, 1);
+        sched2!(2, 3, 0, 1);
+        qrounds2!(56, 2);
+        sched2!(3, 0, 1, 2);
+        qrounds2!(60, 3);
+
+        (
+            (_mm_add_epi32(a0, a.0), _mm_add_epi32(a1, a.1)),
+            (_mm_add_epi32(b0, b.0), _mm_add_epi32(b1, b.1)),
+        )
+    }
+
+    /// One lane over a run of whole blocks.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+        let mut lane = load_state(state);
+        for block in data.chunks_exact(64) {
+            let block = block.try_into().expect("chunks_exact yields 64 bytes");
+            lane = rounds(lane, block);
+        }
+        store_state(state, lane);
+    }
+
+    /// Two lanes, one block each.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub fn compress2(states: &mut [[u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
+        let (a, b) = rounds2(load_state(&states[0]), load_state(&states[1]), blocks);
+        store_state(&mut states[0], a);
+        store_state(&mut states[1], b);
+    }
+
+    /// The digest of a one-block message: from the initial state straight
+    /// to big-endian bytes.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub fn digest_of_block(block: &[u8; 64]) -> [u8; 32] {
+        digest_bytes(rounds(load_state(&H0), block))
+    }
+
+    /// Two one-block messages, two lanes.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub fn digests_of_blocks(blocks: [&[u8; 64]; 2]) -> [[u8; 32]; 2] {
+        let (a, b) = rounds2(load_state(&H0), load_state(&H0), blocks);
+        [digest_bytes(a), digest_bytes(b)]
     }
 }
 
@@ -285,11 +538,7 @@ impl Sha256 {
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         compress_blocks(&mut self.state, &block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        state_bytes(&self.state)
     }
 
     /// Writes the 0x80 marker and zeroes, compressing once if the length
@@ -390,6 +639,27 @@ mod tests {
             h.update(&msg[..len / 2]);
             h.update(&msg[len / 2..]);
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    #[test]
+    fn one_block_digests_match_the_streaming_hash() {
+        // Every message length one block can hold, through the dispatched
+        // one- and two-lane kernels and the portable fallback.
+        let padded = |msg: &[u8]| {
+            let mut block = [0u8; 64];
+            block[..msg.len()].copy_from_slice(msg);
+            block[msg.len()] = 0x80;
+            block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+            block
+        };
+        let msg: Vec<u8> = (0..55u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for len in 0..=55 {
+            let (a, b) = (padded(&msg[..len]), padded(&msg[..55 - len]));
+            let expected = [sha256(&msg[..len]), sha256(&msg[..55 - len])];
+            assert_eq!(digest_of_block(&a), expected[0], "len {len}");
+            assert_eq!(digest_of_block_scalar(&a), expected[0], "len {len}");
+            assert_eq!(digests_of_blocks([&a, &b]), expected, "len {len}");
         }
     }
 

@@ -3,14 +3,15 @@
 //! and signature scheme round-trips.
 
 use adp_crypto::bigint::{is_probable_prime, BigUint};
+use adp_crypto::sha256::{compress2, compress_blocks, compress_blocks_scalar, Sha256};
 use adp_crypto::{
-    chain_extend, chain_from_value, chain_run, hasher::HashDomain, root_from_mixed,
-    root_from_range, verify_inclusion, AggregateSignature, Hasher, Keypair, MerkleTree, MixedLeaf,
-    MontgomeryCtx,
+    chain_extend, chain_extend_many, chain_from_value, chain_run, hasher::HashDomain,
+    root_from_mixed, root_from_range, verify_inclusion, AggregateSignature, Digest, Hasher,
+    Keypair, MerkleTree, MixedLeaf, MontgomeryCtx,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::OnceLock;
 
 fn keypair() -> &'static Keypair {
@@ -249,6 +250,30 @@ proptest! {
         prop_assert_eq!(ctx.product_mod(factors.iter()), expected);
     }
 
+    // ---------------- SHA-256 kernels ----------------
+
+    #[test]
+    fn two_lane_kernel_equals_two_single_compressions(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut states = [[0u32; 8]; 2];
+        let mut blocks = [[0u8; 64]; 2];
+        for lane in 0..2 {
+            states[lane] = std::array::from_fn(|_| rng.next_u32());
+            rng.fill_bytes(&mut blocks[lane]);
+        }
+        let mut two_lane = states;
+        compress2(&mut two_lane, [&blocks[0], &blocks[1]]);
+        // Against the dispatched kernel (SHA-NI where the host has it) and
+        // against the portable one called directly.
+        let (mut dispatched, mut scalar) = (states, states);
+        for lane in 0..2 {
+            compress_blocks(&mut dispatched[lane], &blocks[lane]);
+            compress_blocks_scalar(&mut scalar[lane], &blocks[lane]);
+        }
+        prop_assert_eq!(two_lane, dispatched);
+        prop_assert_eq!(two_lane, scalar);
+    }
+
     // ---------------- Chains ----------------
 
     #[test]
@@ -259,12 +284,23 @@ proptest! {
     }
 
     #[test]
-    fn chain_run_agrees_with_singles(tags in prop::collection::vec(any::<u32>(), 0..6), steps in 0u64..30) {
-        let h = Hasher::default();
-        let pairs: Vec<(u32, u64)> = tags.iter().map(|&t| (t, steps)).collect();
-        let bulk = chain_run(&h, b"prop-value", &pairs);
-        for (d, &(pos, st)) in bulk.iter().zip(&pairs) {
+    fn bulk_chains_agree_with_singles(
+        chains in prop::collection::vec((any::<u32>(), 0u64..12), 0..8),
+        len_idx in 0usize..3,
+    ) {
+        // Odd and even chain counts, zero and uneven step counts: the
+        // two-lane scheduler must land every chain where the plain loop does.
+        let h = Hasher::new(DIGEST_LENS[len_idx]);
+        let mut bulk = vec![h.hash(HashDomain::Data, b"filler"); chains.len()];
+        chain_run(&h, b"prop-value", &chains, &mut bulk);
+        for (d, &(pos, st)) in bulk.iter().zip(&chains) {
             prop_assert_eq!(*d, chain_from_value(&h, b"prop-value", pos, st));
+        }
+        let steps: Vec<u64> = chains.iter().map(|c| c.1).collect();
+        let mut extended = bulk.clone();
+        chain_extend_many(&h, &mut extended, &steps);
+        for ((e, b), st) in extended.iter().zip(&bulk).zip(steps) {
+            prop_assert_eq!(*e, chain_extend(&h, *b, st));
         }
     }
 
@@ -300,6 +336,161 @@ proptest! {
         prop_assert!(agg.verify(&h, kp.public(), &digests));
         if count > 1 {
             prop_assert!(!agg.verify(&h, kp.public(), &digests[..count - 1]));
+        }
+    }
+}
+
+// ---------------- One-block path vs. the streaming reference ----------------
+
+const DIGEST_LENS: [usize; 3] = [16, 20, 32];
+
+const DOMAINS: [HashDomain; 9] = [
+    HashDomain::Value,
+    HashDomain::Step,
+    HashDomain::Leaf,
+    HashDomain::Node,
+    HashDomain::Link,
+    HashDomain::Sig,
+    HashDomain::Data,
+    HashDomain::Rep,
+    HashDomain::Comp,
+];
+
+/// What every `Hasher` entry point must equal: the domain byte, then each
+/// part behind its `u32` length, through the streaming SHA-256.
+fn reference(h: &Hasher, domain: HashDomain, parts: &[&[u8]]) -> Digest {
+    let mut s = Sha256::new();
+    s.update(&[domain as u8]);
+    for p in parts {
+        s.update(&(p.len() as u32).to_le_bytes());
+        s.update(p);
+    }
+    Digest::from_bytes(&s.finalize()[..h.digest_len()])
+}
+
+/// `total` pseudo-random bytes cut into `count` parts at pseudo-random
+/// places (empty parts included).
+fn cut(rng: &mut StdRng, total: usize, count: usize) -> Vec<Vec<u8>> {
+    let mut bytes = vec![0u8; total];
+    rng.fill_bytes(&mut bytes);
+    let mut cuts: Vec<usize> = (1..count)
+        .map(|_| rng.next_u32() as usize % (total + 1))
+        .collect();
+    cuts.sort_unstable();
+    cuts.push(total);
+    let mut from = 0;
+    cuts.into_iter()
+        .map(|to| {
+            let part = bytes[from..to].to_vec();
+            from = to;
+            part
+        })
+        .collect()
+}
+
+#[test]
+fn one_block_path_equals_streaming_reference() {
+    // Payloads of 0..=130 bytes in 1..=4 parts put the whole message on
+    // every side of the 55/56 one-block limit and the 63/64 block edge.
+    let mut rng = StdRng::seed_from_u64(0x0b10c);
+    for digest_len in DIGEST_LENS {
+        let h = Hasher::new(digest_len);
+        for domain in DOMAINS {
+            for count in 1..=4usize {
+                for total in 0..=130usize {
+                    let parts = cut(&mut rng, total, count);
+                    let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+                    let expected = reference(&h, domain, &refs);
+                    let ctx = format!("len={digest_len} {domain:?} parts={count} total={total}");
+                    assert_eq!(h.hash_parts(domain, &refs), expected, "{ctx}");
+                    if count == 1 {
+                        assert_eq!(h.hash(domain, refs[0]), expected, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn digest_hashing_equals_streaming_reference() {
+    let mut rng = StdRng::seed_from_u64(0xd16e57);
+    for digest_len in DIGEST_LENS {
+        let h = Hasher::new(digest_len);
+        for domain in DOMAINS {
+            for count in 1..=4usize {
+                // Inputs of every legal length, not only the hasher's own.
+                let digests: Vec<Digest> = (0..count)
+                    .map(|i| {
+                        let mut raw = [0u8; 32];
+                        rng.fill_bytes(&mut raw);
+                        Digest::from_bytes(&raw[..DIGEST_LENS[(i + count) % 3]])
+                    })
+                    .collect();
+                let refs: Vec<&[u8]> = digests.iter().map(Digest::as_bytes).collect();
+                assert_eq!(
+                    h.hash_digests(domain, &digests),
+                    reference(&h, domain, &refs),
+                    "len={digest_len} {domain:?} count={count}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn bulk_hashing_equals_singles() {
+    let mut rng = StdRng::seed_from_u64(0xb01c);
+    for digest_len in DIGEST_LENS {
+        let h = Hasher::new(digest_len);
+        // Values on both sides of the one-block limit, odd and even counts.
+        for count in 0..=5usize {
+            let values: Vec<Vec<u8>> = (0..count)
+                .map(|i| cut(&mut rng, 44 + 3 * i, 1).remove(0))
+                .collect();
+            let refs: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+            let leaves = h.hash_each(HashDomain::Leaf, refs.iter().copied());
+            assert_eq!(leaves.len(), count);
+            for (leaf, v) in leaves.iter().zip(&refs) {
+                assert_eq!(*leaf, h.hash(HashDomain::Leaf, v));
+            }
+            let nodes = h.hash_pairs(HashDomain::Node, &leaves);
+            assert_eq!(nodes.len(), count / 2);
+            for (node, pair) in nodes.iter().zip(leaves.chunks_exact(2)) {
+                assert_eq!(*node, h.hash_digests(HashDomain::Node, pair));
+            }
+            if count >= 3 {
+                let links = h.hash_triple_windows(HashDomain::Link, &refs);
+                for (link, w) in links.iter().zip(refs.windows(3)) {
+                    assert_eq!(*link, h.hash_parts(HashDomain::Link, w));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fdh_expansion_equals_streaming_reference() {
+    let h = Hasher::default();
+    let mut rng = StdRng::seed_from_u64(0xfd4);
+    // Seeds of 50 bytes and fewer put each counter block in one SHA block.
+    for seed_len in [0usize, 11, 16, 32, 50, 51, 59, 64, 130] {
+        let seed = cut(&mut rng, seed_len, 1).remove(0);
+        for out_len in [0usize, 1, 32, 33, 64, 96, 128, 130] {
+            let mut expected = Vec::new();
+            for counter in 0..out_len.div_ceil(32) as u32 {
+                let mut s = Sha256::new();
+                s.update(&[HashDomain::Sig as u8]);
+                s.update(&counter.to_le_bytes());
+                s.update(&seed);
+                expected.extend_from_slice(&s.finalize());
+            }
+            expected.truncate(out_len);
+            assert_eq!(
+                h.expand(&seed, out_len),
+                expected,
+                "seed={seed_len} out={out_len}"
+            );
         }
     }
 }
