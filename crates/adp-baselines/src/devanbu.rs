@@ -120,7 +120,6 @@ impl MhtTable {
     /// Owner-side: builds the tree and signs the root.
     pub fn publish(keypair: &Keypair, hasher: Hasher, table: Table) -> Self {
         let leaves: Vec<Digest> = table
-            .rows()
             .iter()
             .map(|r| leaf_digest(&hasher, &r.record))
             .collect();
@@ -229,7 +228,6 @@ impl MhtTable {
         self.root_resignatures.set(self.root_resignatures.get() + 1);
         let leaves: Vec<Digest> = self
             .table
-            .rows()
             .iter()
             .map(|r| leaf_digest(&self.hasher, &r.record))
             .collect();

@@ -82,7 +82,6 @@ impl MaTable {
     /// Owner-side: signs each row's attribute-tree root.
     pub fn publish(keypair: &Keypair, hasher: Hasher, table: Table) -> Self {
         let signatures = table
-            .rows()
             .iter()
             .map(|r| keypair.sign(&hasher, &row_root(&hasher, &r.record)))
             .collect();

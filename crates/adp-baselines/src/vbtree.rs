@@ -89,7 +89,6 @@ impl VbTree {
     pub fn publish(keypair: &Keypair, hasher: Hasher, fanout: usize, table: Table) -> Self {
         assert!(fanout >= 2);
         let mut leaf_level: Vec<Digest> = table
-            .rows()
             .iter()
             .map(|r| leaf_digest(&hasher, &r.record))
             .collect();

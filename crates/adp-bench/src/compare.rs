@@ -205,7 +205,7 @@ impl RangeScheme for ChainScheme {
     }
 
     fn update_payload(&mut self, pos: usize, record: Record) -> UpdateCost {
-        let row = &self.st.table().rows()[pos];
+        let row = self.st.table().row(pos);
         let (key, replica) = (row.record.key(self.st.table().schema()), row.replica);
         let report = self
             .owner
@@ -529,7 +529,6 @@ pub fn run_grid(grid: &Grid, timing: bool) -> Vec<SchemeResults> {
     let churn_spec = WorkloadSpec::new(grid.churn_rows).payload(grid.payload);
     let (churn_table, churn_domain) = churn_spec.build();
     let keys: Vec<i64> = churn_table
-        .rows()
         .iter()
         .map(|r| r.record.key(churn_table.schema()))
         .collect();

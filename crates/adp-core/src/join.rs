@@ -117,10 +117,7 @@ pub fn answer_pkfk_join(
         let s_row = s_st.table().row(pos);
         let record = s_row.record.project(&s_proj);
         let entry = s_st.entry(cp);
-        let chains = match entry.roots {
-            Some((up_root, down_root)) => EntryChains::Optimized { up_root, down_root },
-            None => EntryChains::Conceptual,
-        };
+        let chains = EntryChains::from_roots(entry.roots);
         // Hidden digests for the S columns outside the projection.
         let hasher = s_st.hasher();
         let mut hidden = Vec::new();

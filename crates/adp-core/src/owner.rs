@@ -18,7 +18,7 @@ use crate::gdigest::{g_of_delimiter, link_digest, materialize_record, GDigest};
 use crate::repr::Radix;
 use crate::scheme::{Mode, SchemeConfig};
 use adp_crypto::{Digest, Hasher, Keypair, PublicKey, Signature};
-use adp_relation::{BPlusTree, Record, Schema, SchemaError, Table};
+use adp_relation::{BPlusTree, CowVec, Record, Schema, SchemaError, Table};
 use rand::RngCore;
 use std::fmt;
 
@@ -175,9 +175,14 @@ pub struct BatchReport {
 
 /// A table signed for publishing: data + signature chain + signature index.
 ///
-/// Cloning copies the table, the chain entries, and the signature index —
-/// no cryptography is redone. `adp-store` and the live-reloading server
-/// clone a signed table to stage a batch before atomically swapping it in.
+/// A clone is an independent copy that costs `O(1)`: rows, chain entries
+/// and signature-index nodes are shared with the original until one of the
+/// two changes them, and then only the changed root paths are copied
+/// ([`CowVec`], [`BPlusTree`]); a signature in a chain entry and in the
+/// index is one allocation. `adp-store` and the live-reloading server
+/// stage each batch on a clone before atomically swapping it in, so an
+/// update costs its batch — and dropping the previous epoch frees only
+/// what the batch replaced.
 #[derive(Clone, Debug)]
 pub struct SignedTable {
     table: Table,
@@ -186,7 +191,7 @@ pub struct SignedTable {
     hasher: Hasher,
     radix: Option<Radix>,
     /// Chain positions `0..=n+1`; position 0 and n+1 are the delimiters.
-    entries: Vec<SignedEntry>,
+    entries: CowVec<SignedEntry>,
     /// Signatures keyed by `(K, replica)` in B+-tree leaves (Section 6.3).
     sig_index: BPlusTree<Signature>,
     public_key: PublicKey,
@@ -231,6 +236,15 @@ impl SignedTable {
     /// Chain entry at position `0..=n+1`.
     pub fn entry(&self, chain_pos: usize) -> &SignedEntry {
         &self.entries[chain_pos]
+    }
+
+    /// The chain entries at `chain_positions`, in order — what a range
+    /// answer walks instead of looking each position up.
+    pub fn entries(
+        &self,
+        chain_positions: std::ops::Range<usize>,
+    ) -> impl ExactSizeIterator<Item = &SignedEntry> {
+        self.entries.range(chain_positions)
     }
 
     /// Number of chain positions (`n + 2`).
@@ -467,8 +481,9 @@ impl SignedTable {
                     g_recomputed += 1;
                     self.table.update_in_place(pos, record.clone())?;
                     let cp = pos + 1;
-                    self.entries[cp].g = g;
-                    self.entries[cp].roots = roots;
+                    let entry = &mut self.entries[cp];
+                    entry.g = g;
+                    entry.roots = roots;
                     for p in [cp - 1, cp, cp + 1] {
                         dirty.insert(self.tree_key_at(p));
                     }
@@ -512,8 +527,11 @@ impl SignedTable {
             } else {
                 self.entries[b + 1].g.to_bytes()
             };
-            let encoded: Vec<Vec<u8>> =
-                self.entries[a..=b].iter().map(|e| e.g.to_bytes()).collect();
+            let encoded: Vec<Vec<u8>> = self
+                .entries
+                .range(a..b + 1)
+                .map(|e| e.g.to_bytes())
+                .collect();
             let mut run: Vec<&[u8]> = Vec::with_capacity(encoded.len() + 2);
             run.push(&prev);
             run.extend(encoded.iter().map(Vec::as_slice));
@@ -526,7 +544,7 @@ impl SignedTable {
 
     /// Publisher-side batch application: replays a logged batch *without
     /// the signing key*, splicing in the owner-provided signatures after
-    /// verifying each against the link digest recomputed from local state.
+    /// verifying them against the link digests recomputed from local state.
     /// A tampered log record — flipped payload bytes, a forged signature,
     /// a wrong position set — is rejected with a typed error.
     ///
@@ -534,8 +552,15 @@ impl SignedTable {
     /// [`Owner::apply_batch`]); `resigned` must list `(chain position,
     /// signature)` in chain order for exactly the dirtied positions.
     ///
-    /// On error the table may be partially mutated: replay into a clone
-    /// and swap on success (as `adp-store` does).
+    /// Every signature is verified by itself against its own link digest.
+    /// A condensed-RSA aggregate (Section 5.2) is deliberately *not* used
+    /// here: it only checks the product of the signatures, so it accepts
+    /// two signatures swapped between their positions (or `σ_i·r`,
+    /// `σ_j·r⁻¹`), and a record accepted here is persisted and fanned out.
+    ///
+    /// All or nothing: the batch is staged on a copy (which shares all it
+    /// does not touch) and swapped in once every check has passed, so an
+    /// `Err` leaves the table exactly as it was.
     pub fn replay_batch(
         &mut self,
         ops: &[Mutation],
@@ -543,7 +568,8 @@ impl SignedTable {
     ) -> Result<(), OwnerError> {
         self.prevalidate_records(ops)?;
         self.validate_batch(ops)?;
-        let (positions, _) = self.stage_batch(ops)?;
+        let mut staged = self.clone();
+        let (positions, _) = staged.stage_batch(ops)?;
         if resigned.len() != positions.len()
             || resigned
                 .iter()
@@ -555,9 +581,9 @@ impl SignedTable {
                 got: resigned.len(),
             });
         }
-        let links = self.links_for(&positions);
+        let links = staged.links_for(&positions);
         for ((pos, sig), link) in resigned.iter().zip(&links) {
-            if !self.public_key.verify(&self.hasher, link, sig) {
+            if !staged.public_key.verify(&staged.hasher, link, sig) {
                 return Err(OwnerError::ResignatureInvalid {
                     chain_pos: *pos as usize,
                 });
@@ -565,10 +591,42 @@ impl SignedTable {
         }
         for (pos, sig) in resigned {
             let pos = *pos as usize;
-            self.entries[pos].signature = sig.clone();
-            self.sig_index.insert(self.tree_key_at(pos), sig.clone());
+            staged.entries[pos].signature = sig.clone();
+            staged
+                .sig_index
+                .insert(staged.tree_key_at(pos), sig.clone());
         }
+        *self = staged;
         Ok(())
+    }
+
+    /// Puts a signed table together from its parts, indexing every
+    /// signature under its `(K, replica)`.
+    fn assemble(
+        table: Table,
+        domain: Domain,
+        config: SchemeConfig,
+        hasher: Hasher,
+        radix: Option<Radix>,
+        entries: Vec<SignedEntry>,
+        public_key: PublicKey,
+    ) -> SignedTable {
+        let mut st = SignedTable {
+            table,
+            domain,
+            config,
+            hasher,
+            radix,
+            entries: entries.into(),
+            sig_index: BPlusTree::new(64),
+            public_key,
+        };
+        let mut sig_index = BPlusTree::new(64);
+        for (pos, entry) in st.entries.iter().enumerate() {
+            sig_index.insert(st.tree_key_at(pos), entry.signature.clone());
+        }
+        st.sig_index = sig_index;
+        st
     }
 }
 
@@ -597,7 +655,7 @@ impl SignedTable {
             Mode::Conceptual => None,
             Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
         };
-        for row in table.rows() {
+        for row in table.iter() {
             let k = row.record.key(table.schema());
             if !domain.contains_key(k) {
                 return Err(OwnerError::KeyOutOfDomain { key: k });
@@ -651,22 +709,9 @@ impl SignedTable {
                 signature,
             });
         }
-        let mut sig_index = BPlusTree::new(64);
-        let mut st = SignedTable {
-            table,
-            domain,
-            config,
-            hasher,
-            radix,
-            entries,
-            sig_index: BPlusTree::new(64),
-            public_key,
-        };
-        for pos in 0..st.entries.len() {
-            sig_index.insert(st.tree_key_at(pos), st.entries[pos].signature.clone());
-        }
-        st.sig_index = sig_index;
-        Ok(st)
+        Ok(SignedTable::assemble(
+            table, domain, config, hasher, radix, entries, public_key,
+        ))
     }
 }
 
@@ -698,7 +743,7 @@ impl Owner {
             Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
         };
         // Validate all keys before doing any crypto work.
-        for row in table.rows() {
+        for row in table.iter() {
             let k = row.record.key(table.schema());
             if !domain.contains_key(k) {
                 return Err(OwnerError::KeyOutOfDomain { key: k });
@@ -802,23 +847,15 @@ impl Owner {
             })
             .collect();
 
-        // Populate the signature B+-tree.
-        let mut sig_index = BPlusTree::new(64);
-        let mut st = SignedTable {
+        Ok(SignedTable::assemble(
             table,
             domain,
             config,
             hasher,
             radix,
             entries,
-            sig_index: BPlusTree::new(64),
-            public_key: self.keypair.public().clone(),
-        };
-        for pos in 0..st.entries.len() {
-            sig_index.insert(st.tree_key_at(pos), st.entries[pos].signature.clone());
-        }
-        st.sig_index = sig_index;
-        Ok(st)
+            self.keypair.public().clone(),
+        ))
     }
 
     /// Re-signs the given chain positions in place, updating the B+-tree.
@@ -999,7 +1036,7 @@ impl Owner {
         let mut out = Vec::with_capacity(orders.len());
         for (attr, domain) in orders {
             let schema = Schema::new(table.schema().columns().to_vec(), attr);
-            let records: Vec<Record> = table.rows().iter().map(|r| r.record.clone()).collect();
+            let records: Vec<Record> = table.iter().map(|r| r.record.clone()).collect();
             let renamed = format!("{}@{attr}", table.name());
             let sorted = Table::from_records(renamed, schema, records)?;
             out.push(self.sign_table(sorted, *domain, config)?);
@@ -1557,42 +1594,101 @@ mod tests {
             .apply_batch(&mut owner_st, vec![Mutation::Insert(rec(9, 5_000))])
             .unwrap();
 
-        // A tampered signature byte is rejected.
+        // Everything a table holds per position, and its signature index:
+        // a rejected replay must leave all of it as it was.
+        let state = |st: &SignedTable| {
+            let chain: Vec<_> = (0..st.chain_len())
+                .map(|p| {
+                    let row = (1..st.chain_len() - 1)
+                        .contains(&p)
+                        .then(|| st.table().row(p - 1).clone());
+                    let entry = st.entry(p);
+                    (row, st.g_bytes(p), entry.roots, entry.signature.to_bytes())
+                })
+                .collect();
+            let mut index = Vec::new();
+            st.sig_index().range_for_each(
+                std::ops::Bound::Unbounded,
+                std::ops::Bound::Unbounded,
+                |k, sig| index.push((k, sig.to_bytes())),
+            );
+            (chain, index)
+        };
+        let mut publisher_st = signed(figure1_table());
+        let before = state(&publisher_st);
+        let mut rejected = |ops: &[Mutation], resigned: &[(u32, Signature)]| {
+            let err = publisher_st.replay_batch(ops, resigned).unwrap_err();
+            assert!(state(&publisher_st) == before, "{err}: table moved");
+            err
+        };
+
+        // A tampered signature byte is rejected, and the error names the
+        // forged position.
         let mut forged = report.resigned.clone();
         let mut bytes = forged[1].1.to_bytes();
         bytes[0] ^= 0x01;
         forged[1].1 = Signature::from_bytes(&bytes);
-        let err = signed(figure1_table())
-            .replay_batch(&report.ops, &forged)
-            .unwrap_err();
-        assert!(matches!(err, OwnerError::ResignatureInvalid { .. }));
+        let err = rejected(&report.ops, &forged);
+        assert_eq!(
+            err,
+            OwnerError::ResignatureInvalid {
+                chain_pos: report.resigned[1].0 as usize
+            }
+        );
+
+        // So is `σ + n`: congruent to an honest signature, not one.
+        let mut forged = report.resigned.clone();
+        let lifted = forged[2].1.value().add(owner.public_key().modulus());
+        forged[2].1 = Signature::from_bytes(&lifted.to_bytes_be());
+        let err = rejected(&report.ops, &forged);
+        assert_eq!(
+            err,
+            OwnerError::ResignatureInvalid {
+                chain_pos: report.resigned[2].0 as usize
+            }
+        );
+
+        // Two honest signatures swapped between their positions keep their
+        // product — a condensed-RSA aggregate would pass them — and are
+        // rejected at the first position that no longer verifies.
+        let mut forged = report.resigned.clone();
+        let (a, b) = (forged[0].1.clone(), forged[2].1.clone());
+        (forged[0].1, forged[2].1) = (b, a);
+        let err = rejected(&report.ops, &forged);
+        assert_eq!(
+            err,
+            OwnerError::ResignatureInvalid {
+                chain_pos: report.resigned[0].0 as usize
+            }
+        );
 
         // A wrong position set is rejected.
-        let err = signed(figure1_table())
-            .replay_batch(&report.ops, &report.resigned[..1])
-            .unwrap_err();
+        let err = rejected(&report.ops, &report.resigned[..1]);
         assert!(matches!(err, OwnerError::ResignSetMismatch { .. }));
 
         // A swapped record (honest sigs, different data) is rejected.
-        let err = signed(figure1_table())
-            .replay_batch(&[Mutation::Insert(rec(9, 5_001))], &report.resigned)
-            .unwrap_err();
+        let err = rejected(&[Mutation::Insert(rec(9, 5_001))], &report.resigned);
         assert!(matches!(
             err,
             OwnerError::ResignatureInvalid { .. } | OwnerError::ResignSetMismatch { .. }
         ));
 
         // A non-canonical key-changing update is rejected at replay.
-        let err = signed(figure1_table())
-            .replay_batch(
-                &[Mutation::Update {
-                    key: 3_500,
-                    replica: 0,
-                    record: rec(2, 4_000),
-                }],
-                &report.resigned,
-            )
-            .unwrap_err();
+        let err = rejected(
+            &[Mutation::Update {
+                key: 3_500,
+                replica: 0,
+                record: rec(2, 4_000),
+            }],
+            &report.resigned,
+        );
         assert!(matches!(err, OwnerError::UpdateChangesKey { .. }));
+
+        // After six rejections the honest batch still applies.
+        publisher_st
+            .replay_batch(&report.ops, &report.resigned)
+            .unwrap();
+        assert!(publisher_st.audit());
+        assert_eq!(sig_bytes_by_key(&owner_st), sig_bytes_by_key(&publisher_st));
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::domain::QueryBounds;
 use crate::gdigest::{digit_chain, digit_chains, direction_commitment, Direction};
-use crate::owner::SignedTable;
+use crate::owner::{SignedEntry, SignedTable};
 use crate::scheme::Mode;
 use crate::vo::{
     AttrProof, BoundaryProof, EmptyProof, EntryChains, EntryProof, PrevG, QueryVO, RangeVO,
@@ -144,7 +144,7 @@ impl<'a> Publisher<'a> {
                 prev,
                 left: self.boundary_proof(left_cp, Direction::Up, &bounds),
                 right: self.boundary_proof(right_cp, Direction::Down, &bounds),
-                signature: self.signatures(&[left_cp]),
+                signature: self.signatures(st.entries(left_cp..left_cp + 1)),
             });
             return Ok((Vec::new(), vo));
         }
@@ -152,14 +152,14 @@ impl<'a> Publisher<'a> {
         // Non-empty: rows start..end ↔ chain positions start+1 ..= end.
         let mut result: Vec<Record> = Vec::new();
         let mut entries: Vec<EntryProof> = Vec::new();
-        let mut sig_positions: Vec<usize> = Vec::new();
         // For DISTINCT: projected encoding → index in `result`.
         let mut seen: HashMap<Vec<u8>, u32> = HashMap::new();
 
-        for pos in start..end {
-            let cp = pos + 1;
-            sig_positions.push(cp);
-            let row = st.table().row(pos);
+        for (row, entry) in st
+            .table()
+            .range(start..end)
+            .zip(st.entries(start + 1..end + 1))
+        {
             let record = &row.record;
             if passes_filters(st.table(), record, &query.filters) {
                 let projected = record.project(&proj);
@@ -173,8 +173,8 @@ impl<'a> Publisher<'a> {
                     Some((of, _)) => {
                         entries.push(EntryProof::Duplicate {
                             of,
-                            chains: self.entry_chains(cp),
-                            attrs: self.attr_proof(record, &proj, &[]),
+                            chains: EntryChains::from_roots(entry.roots),
+                            attrs: self.attr_proof(entry, record, &proj, &[]),
                         });
                     }
                     None => {
@@ -183,8 +183,8 @@ impl<'a> Publisher<'a> {
                             seen.insert(enc, result.len() as u32);
                         }
                         entries.push(EntryProof::Match {
-                            chains: self.entry_chains(cp),
-                            attrs: self.attr_proof(record, &proj, &[]),
+                            chains: EntryChains::from_roots(entry.roots),
+                            attrs: self.attr_proof(entry, record, &proj, &[]),
                         });
                         result.push(projected);
                     }
@@ -198,11 +198,10 @@ impl<'a> Publisher<'a> {
                     .filter(|f| !f.eval(schema, record.values()))
                     .filter_map(|f| schema.column_index(&f.column))
                     .collect();
-                let entry = st.entry(cp);
                 entries.push(EntryProof::Filtered {
                     up_component: entry.g.up,
                     down_component: entry.g.down,
-                    attrs: self.attr_proof(record, &[], &failing),
+                    attrs: self.attr_proof(entry, record, &[], &failing),
                 });
             }
         }
@@ -211,16 +210,22 @@ impl<'a> Publisher<'a> {
             left: self.boundary_proof(start, Direction::Up, &bounds),
             right: self.boundary_proof(end + 1, Direction::Down, &bounds),
             entries,
-            signatures: self.signatures(&sig_positions),
+            signatures: self.signatures(st.entries(start + 1..end + 1)),
         });
         Ok((result, vo))
     }
 
-    /// Builds the attribute proof for a record: `disclosed_cols` values are
-    /// revealed inside the proof (filtered rows); columns in `proj` are
-    /// assumed revealed through the result record; everything else is
-    /// hidden behind leaf digests.
-    fn attr_proof(&self, record: &Record, proj: &[usize], disclosed_cols: &[usize]) -> AttrProof {
+    /// Builds the attribute proof for a record and its chain entry:
+    /// `disclosed_cols` values are revealed inside the proof (filtered
+    /// rows); columns in `proj` are assumed revealed through the result
+    /// record; everything else is hidden behind leaf digests.
+    fn attr_proof(
+        &self,
+        entry: &SignedEntry,
+        record: &Record,
+        proj: &[usize],
+        disclosed_cols: &[usize],
+    ) -> AttrProof {
         let st = self.st;
         let schema = st.table().schema();
         let hasher = st.hasher();
@@ -242,35 +247,10 @@ impl<'a> Publisher<'a> {
         }
         // The root is recomputable from the record; reading it from the
         // cached g avoids rebuilding the tree.
-        let cp = self.chain_pos_of(record);
         AttrProof {
             disclosed,
             hidden,
-            root: st.entry(cp).g.attrs,
-        }
-    }
-
-    /// Chain position of a record (by key + content match).
-    fn chain_pos_of(&self, record: &Record) -> usize {
-        let st = self.st;
-        let schema = st.table().schema();
-        let key = record.key(schema);
-        let (s, e) = st
-            .table()
-            .key_range_positions(Bound::Included(key), Bound::Included(key));
-        for pos in s..e {
-            if st.table().row(pos).record == *record {
-                return pos + 1;
-            }
-        }
-        unreachable!("record not found in its own table")
-    }
-
-    /// Chain roots for an entry whose key the user knows.
-    fn entry_chains(&self, cp: usize) -> EntryChains {
-        match self.st.entry(cp).roots {
-            Some((up_root, down_root)) => EntryChains::Optimized { up_root, down_root },
-            None => EntryChains::Conceptual,
+            root: entry.g.attrs,
         }
     }
 
@@ -342,10 +322,10 @@ impl<'a> Publisher<'a> {
         }
     }
 
-    /// Packages the signatures at the given chain positions.
-    fn signatures(&self, positions: &[usize]) -> SignatureProof {
+    /// Packages the signatures of the given chain entries.
+    fn signatures<'e>(&self, entries: impl Iterator<Item = &'e SignedEntry>) -> SignatureProof {
         let st = self.st;
-        let sigs: Vec<&Signature> = positions.iter().map(|&p| &st.entry(p).signature).collect();
+        let sigs: Vec<&Signature> = entries.map(|e| &e.signature).collect();
         if st.config().aggregate_signatures {
             SignatureProof::Aggregated(AggregateSignature::combine(st.public_key(), &sigs))
         } else {
@@ -468,7 +448,7 @@ pub mod malicious {
                     prev,
                     left: rv.left.clone(),
                     right: forge_boundary(publisher, right_key, Direction::Down, &bounds),
-                    signature: publisher.signatures(&[left_cp]),
+                    signature: publisher.signatures(st.entries(left_cp..left_cp + 1)),
                 });
                 Some((Vec::new(), vo))
             }
@@ -686,7 +666,7 @@ pub mod malicious {
         if positions.is_empty() {
             return None;
         }
-        Some(publisher.signatures(&positions))
+        Some(publisher.signatures(positions.iter().map(|&cp| st.entry(cp))))
     }
 
     /// Extends the aggregate by replaying the first signature once more.
@@ -702,7 +682,7 @@ pub mod malicious {
             .key_range_positions(Bound::Included(bounds.alpha), Bound::Included(bounds.beta));
         let mut positions: Vec<usize> = (start..end).map(|p| p + 1).collect();
         positions.insert(1.min(positions.len()), positions[0]);
-        Some(publisher.signatures(&positions))
+        Some(publisher.signatures(positions.iter().map(|&cp| st.entry(cp))))
     }
 
     /// A plausible-but-different value of the same type.

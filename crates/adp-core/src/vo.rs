@@ -80,6 +80,15 @@ pub enum EntryChains {
 }
 
 impl EntryChains {
+    /// The chain material for an entry whose table caches `roots` for it
+    /// (optimized mode) or not (conceptual mode).
+    pub fn from_roots(roots: Option<(Digest, Digest)>) -> Self {
+        match roots {
+            Some((up_root, down_root)) => EntryChains::Optimized { up_root, down_root },
+            None => EntryChains::Conceptual,
+        }
+    }
+
     /// The `(up, down)` rep-MHT roots, if this is optimized-mode material.
     pub fn roots(&self) -> Option<(Digest, Digest)> {
         match self {

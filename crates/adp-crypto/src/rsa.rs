@@ -117,11 +117,11 @@ impl PublicKey {
 
     /// Verifies `sig` over `digest`. Returns true iff valid.
     pub fn verify(&self, hasher: &Hasher, digest: &Digest, sig: &Signature) -> bool {
-        if sig.value.cmp(&self.n) != std::cmp::Ordering::Less {
+        if sig.value().cmp(&self.n) != std::cmp::Ordering::Less {
             return false;
         }
         let expected = self.fdh(hasher, digest);
-        self.pow_mod_n(&sig.value, &self.e) == expected
+        self.pow_mod_n(sig.value(), &self.e) == expected
     }
 }
 
@@ -160,10 +160,14 @@ impl fmt::Debug for PrivateKey {
 }
 
 /// An RSA signature (one modulus-sized value).
+///
+/// The value sits behind a reference count, so a clone is a pointer copy:
+/// the chain entry, the signature index and every table epoch that did not
+/// re-sign a position hold the same allocation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Signature {
-    pub(crate) value: BigUint,
-    pub(crate) len: usize,
+    value: Arc<BigUint>,
+    len: usize,
 }
 
 impl Signature {
@@ -180,7 +184,7 @@ impl Signature {
     /// Decodes a fixed-width big-endian signature.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Signature {
-            value: BigUint::from_bytes_be(bytes),
+            value: Arc::new(BigUint::from_bytes_be(bytes)),
             len: bytes.len(),
         }
     }
@@ -278,7 +282,7 @@ impl Keypair {
             "CRT signature self-check"
         );
         Signature {
-            value: s,
+            value: Arc::new(s),
             len: k.public.signature_len(),
         }
     }

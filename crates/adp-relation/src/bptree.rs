@@ -9,10 +9,16 @@
 //! To let the benchmark `sec63_updates` quantify exactly that claim, the
 //! tree counts node visits ([`BPlusTree::stats`]) and can report which leaf
 //! a key resides in ([`BPlusTree::leaf_id_of`]).
+//!
+//! Nodes are reference counted and a mutation copies only the nodes on its
+//! root path that another tree still shares (`Arc::make_mut`), so a clone
+//! is `O(1)` and an update batch staged on a clone leaves the original —
+//! the epoch readers are still answering from — untouched.
 
 use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Composite key: `(key attribute value, replica number)`.
 pub type TreeKey = (i64, u32);
@@ -67,7 +73,7 @@ enum Node<V> {
     },
     Internal {
         keys: Vec<TreeKey>,
-        children: Vec<Node<V>>,
+        children: Vec<Arc<Node<V>>>,
     },
 }
 
@@ -94,11 +100,13 @@ impl<V> Node<V> {
 
 /// A B+-tree mapping `(key, replica)` to values of type `V`.
 ///
-/// Cloning copies the whole tree (used when a signed table is snapshotted
-/// for live reload); the visit counters are cloned at their current values.
+/// A clone is an independent tree that shares every node with the original
+/// until one of them changes it (used when a signed table stages an update
+/// batch beside the served epoch); the visit counters are cloned at their
+/// current values.
 #[derive(Clone)]
 pub struct BPlusTree<V> {
-    root: Node<V>,
+    root: Arc<Node<V>>,
     order: usize,
     len: usize,
     stats: TreeStats,
@@ -130,9 +138,9 @@ impl<V> BPlusTree<V> {
     pub fn new(order: usize) -> Self {
         assert!(order >= 4, "B+-tree order must be at least 4");
         BPlusTree {
-            root: Node::Leaf {
+            root: Arc::new(Node::Leaf {
                 entries: Vec::new(),
-            },
+            }),
             order,
             len: 0,
             stats: TreeStats::default(),
@@ -157,7 +165,7 @@ impl<V> BPlusTree<V> {
     /// Height of the tree (1 for a lone leaf).
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = &self.root;
+        let mut node = &*self.root;
         while let Node::Internal { children, .. } = node {
             h += 1;
             node = &children[0];
@@ -170,7 +178,9 @@ impl<V> BPlusTree<V> {
         fn count<V>(n: &Node<V>) -> usize {
             match n {
                 Node::Leaf { .. } => 1,
-                Node::Internal { children, .. } => 1 + children.iter().map(count).sum::<usize>(),
+                Node::Internal { children, .. } => {
+                    1 + children.iter().map(|c| count(c)).sum::<usize>()
+                }
             }
         }
         count(&self.root)
@@ -178,7 +188,7 @@ impl<V> BPlusTree<V> {
 
     /// Looks up the value for `key`.
     pub fn get(&self, key: TreeKey) -> Option<&V> {
-        let mut node = &self.root;
+        let mut node = &*self.root;
         loop {
             self.stats.touch(node.is_leaf());
             match node {
@@ -195,11 +205,13 @@ impl<V> BPlusTree<V> {
             }
         }
     }
+}
 
+impl<V: Clone> BPlusTree<V> {
     /// Mutable lookup.
     pub fn get_mut(&mut self, key: TreeKey) -> Option<&mut V> {
         let stats = &self.stats;
-        let mut node = &mut self.root;
+        let mut node = Arc::make_mut(&mut self.root);
         loop {
             stats.touch(node.is_leaf());
             match node {
@@ -211,7 +223,7 @@ impl<V> BPlusTree<V> {
                 }
                 Node::Internal { keys, children } => {
                     let idx = keys.partition_point(|k| *k <= key);
-                    node = &mut children[idx];
+                    node = Arc::make_mut(&mut children[idx]);
                 }
             }
         }
@@ -220,18 +232,13 @@ impl<V> BPlusTree<V> {
     /// Inserts `value` under `key`, returning the previous value if any.
     pub fn insert(&mut self, key: TreeKey, value: V) -> Option<V> {
         let order = self.order;
-        let (old, split) = Self::insert_rec(&mut self.root, key, value, order, &self.stats);
+        let root = Arc::make_mut(&mut self.root);
+        let (old, split) = Self::insert_rec(root, key, value, order, &self.stats);
         if let Some((sep, right)) = split {
-            let left = std::mem::replace(
-                &mut self.root,
-                Node::Leaf {
-                    entries: Vec::new(),
-                },
-            );
-            self.root = Node::Internal {
+            self.root = Arc::new(Node::Internal {
                 keys: vec![sep],
-                children: vec![left, right],
-            };
+                children: vec![Arc::clone(&self.root), Arc::new(right)],
+            });
         }
         if old.is_none() {
             self.len += 1;
@@ -266,10 +273,11 @@ impl<V> BPlusTree<V> {
             },
             Node::Internal { keys, children } => {
                 let idx = keys.partition_point(|k| *k <= key);
-                let (old, split) = Self::insert_rec(&mut children[idx], key, value, order, stats);
+                let child = Arc::make_mut(&mut children[idx]);
+                let (old, split) = Self::insert_rec(child, key, value, order, stats);
                 if let Some((sep, right)) = split {
                     keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
+                    children.insert(idx + 1, Arc::new(right));
                     if children.len() > order {
                         let mid = children.len() / 2;
                         let right_children = children.split_off(mid);
@@ -292,13 +300,15 @@ impl<V> BPlusTree<V> {
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: TreeKey) -> Option<V> {
         let order = self.order;
-        let removed = Self::remove_rec(&mut self.root, key, order, &self.stats);
+        let removed = Self::remove_rec(Arc::make_mut(&mut self.root), key, order, &self.stats);
         if removed.is_some() {
             self.len -= 1;
         }
         // Collapse a root that lost all separators.
-        let collapse = match &mut self.root {
-            Node::Internal { children, .. } if children.len() == 1 => children.pop(),
+        let collapse = match &*self.root {
+            Node::Internal { children, .. } if children.len() == 1 => {
+                Some(Arc::clone(&children[0]))
+            }
             _ => None,
         };
         if let Some(child) = collapse {
@@ -316,7 +326,8 @@ impl<V> BPlusTree<V> {
             },
             Node::Internal { keys, children } => {
                 let idx = keys.partition_point(|k| *k <= key);
-                let removed = Self::remove_rec(&mut children[idx], key, order, stats);
+                let child = Arc::make_mut(&mut children[idx]);
+                let removed = Self::remove_rec(child, key, order, stats);
                 if removed.is_some() {
                     Self::rebalance_child(keys, children, idx, order, stats);
                 }
@@ -329,7 +340,7 @@ impl<V> BPlusTree<V> {
     /// removal, by borrowing from or merging with a sibling.
     fn rebalance_child(
         keys: &mut Vec<TreeKey>,
-        children: &mut Vec<Node<V>>,
+        children: &mut Vec<Arc<Node<V>>>,
         idx: usize,
         order: usize,
         stats: &TreeStats,
@@ -342,7 +353,10 @@ impl<V> BPlusTree<V> {
         if idx > 0 && children[idx - 1].len() > min {
             stats.touch(children[idx - 1].is_leaf());
             let (left, right) = children.split_at_mut(idx);
-            match (&mut left[idx - 1], &mut right[0]) {
+            match (
+                Arc::make_mut(&mut left[idx - 1]),
+                Arc::make_mut(&mut right[0]),
+            ) {
                 (Node::Leaf { entries: le }, Node::Leaf { entries: re }) => {
                     let moved = le.pop().unwrap();
                     keys[idx - 1] = moved.0;
@@ -372,7 +386,7 @@ impl<V> BPlusTree<V> {
         if idx + 1 < children.len() && children[idx + 1].len() > min {
             stats.touch(children[idx + 1].is_leaf());
             let (left, right) = children.split_at_mut(idx + 1);
-            match (&mut left[idx], &mut right[0]) {
+            match (Arc::make_mut(&mut left[idx]), Arc::make_mut(&mut right[0])) {
                 (Node::Leaf { entries: le }, Node::Leaf { entries: re }) => {
                     let moved = re.remove(0);
                     le.push(moved);
@@ -398,10 +412,10 @@ impl<V> BPlusTree<V> {
         }
         // Merge with a sibling.
         let merge_left = if idx > 0 { idx - 1 } else { idx };
-        let right_node = children.remove(merge_left + 1);
+        let right_node = Arc::unwrap_or_clone(children.remove(merge_left + 1));
         let sep = keys.remove(merge_left);
         stats.touch(right_node.is_leaf());
-        match (&mut children[merge_left], right_node) {
+        match (Arc::make_mut(&mut children[merge_left]), right_node) {
             (Node::Leaf { entries: le }, Node::Leaf { entries: re }) => {
                 le.extend(re);
             }
@@ -422,7 +436,9 @@ impl<V> BPlusTree<V> {
             _ => unreachable!("siblings are at the same level"),
         }
     }
+}
 
+impl<V> BPlusTree<V> {
     /// Iterates entries with keys in the given bounds, in order, invoking
     /// `f` for each. Returns the number of entries visited.
     pub fn range_for_each(
@@ -491,7 +507,7 @@ impl<V> BPlusTree<V> {
     /// Used by the update-locality benchmark to show that re-signing a
     /// record and its neighbours touches at most two adjacent leaves.
     pub fn leaf_id_of(&self, key: TreeKey) -> Option<TreeKey> {
-        let mut node = &self.root;
+        let mut node = &*self.root;
         loop {
             self.stats.touch(node.is_leaf());
             match node {
@@ -735,6 +751,63 @@ mod tests {
                 distinct.len()
             );
         }
+    }
+
+    #[test]
+    fn clone_is_isolated_and_costs_the_same_visits() {
+        // A clone shares nodes with the original; mutating the clone must
+        // leave the original's content alone, and sharing must not change
+        // what an operation visits (the Section 6.3 cells count visits).
+        let build = || {
+            let mut t = BPlusTree::new(4);
+            for i in 0..300i64 {
+                t.insert((i * 2, 0), i);
+            }
+            t
+        };
+        let dump = |t: &BPlusTree<i64>| {
+            let mut out = Vec::new();
+            t.range_for_each(Bound::Unbounded, Bound::Unbounded, |k, v| out.push((k, *v)));
+            out
+        };
+        let edits = |t: &mut BPlusTree<i64>| {
+            let mut visits = Vec::new();
+            let mut step = |t: &mut BPlusTree<i64>, f: &dyn Fn(&mut BPlusTree<i64>)| {
+                t.stats().reset();
+                f(t);
+                visits.push((t.stats().nodes_visited(), t.stats().leaves_visited()));
+            };
+            for i in 0..120i64 {
+                step(t, &|t| {
+                    t.insert((i * 5 + 1, 0), -i);
+                });
+                step(t, &|t| {
+                    t.remove((i * 4, 0));
+                });
+                step(t, &|t| {
+                    if let Some(v) = t.get_mut((i * 6 + 2, 0)) {
+                        *v += 1;
+                    }
+                });
+            }
+            visits
+        };
+
+        let original = build();
+        let before = dump(&original);
+        let mut copy = original.clone();
+        let shared_visits = edits(&mut copy);
+        copy.check_invariants();
+        assert_eq!(dump(&original), before, "the original moved");
+        assert_eq!(original.len(), 300);
+        original.check_invariants();
+        assert_ne!(dump(&copy), before);
+
+        // The same edits on a tree nobody shares: same visits, same result.
+        let mut alone = build();
+        assert_eq!(edits(&mut alone), shared_visits);
+        assert_eq!(dump(&alone), dump(&copy));
+        assert_eq!(alone.len(), copy.len());
     }
 
     #[test]

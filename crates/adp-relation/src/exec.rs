@@ -123,7 +123,7 @@ pub fn execute_pkfk_join(r: &Table, s: &Table, query: &JoinQuery) -> Vec<JoinedR
 /// pk match and pk values are unique).
 pub fn check_referential_integrity(r: &Table, s: &Table) -> Result<(), String> {
     // pk uniqueness: replica numbers beyond 0 mean duplicates.
-    for row in s.rows() {
+    for row in s.iter() {
         if row.replica != 0 {
             return Err(format!(
                 "primary key {} duplicated in {}",
@@ -132,7 +132,7 @@ pub fn check_referential_integrity(r: &Table, s: &Table) -> Result<(), String> {
             ));
         }
     }
-    for row in r.rows() {
+    for row in r.iter() {
         let fk = row.record.key(r.schema());
         if s.position_of(fk, 0).is_none() {
             return Err(format!(
@@ -170,7 +170,6 @@ pub fn contiguous_runs(positions: &[usize]) -> Vec<(usize, usize)> {
 /// Convenience: full rows of a table as `SelectedRow`s (for baselines).
 pub fn all_rows(table: &Table) -> Vec<SelectedRow> {
     table
-        .rows()
         .iter()
         .enumerate()
         .map(|(position, Row { replica, record })| SelectedRow {

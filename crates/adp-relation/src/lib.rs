@@ -8,7 +8,8 @@
 //! supplies the relations: typed [`value::Value`]s, [`schema::Schema`]s,
 //! sorted [`table::Table`]s with replica-number duplicate handling
 //! (Section 3.1), a [`bptree::BPlusTree`] with node-visit instrumentation
-//! (for the Section 6.3 update-locality experiment), the query AST and
+//! (for the Section 6.3 update-locality experiment) — both sharing
+//! structure between clones (see [`cowvec::CowVec`]) — the query AST and
 //! executor for σ/π/⋈ queries (Section 4), and role-based access control
 //! with query rewriting and per-role visibility columns (Figure 1 and
 //! Section 4.4).
@@ -19,6 +20,7 @@
 pub mod access;
 pub mod bptree;
 pub mod catalog;
+pub mod cowvec;
 pub mod exec;
 pub mod query;
 pub mod record;
@@ -29,6 +31,7 @@ pub mod value;
 pub use access::{AccessPolicy, Role, RolePolicy};
 pub use bptree::{BPlusTree, TreeKey, TreeStats};
 pub use catalog::Database;
+pub use cowvec::CowVec;
 pub use exec::{
     all_rows, apply_projection, check_referential_integrity, contiguous_runs, distinct_partition,
     execute_pkfk_join, execute_select, passes_filters, JoinedRow, SelectOutcome, SelectedRow,

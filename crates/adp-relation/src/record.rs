@@ -3,17 +3,24 @@
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A tuple of attribute values, positionally matching a [`Schema`].
+///
+/// Immutable once built, and the values sit behind a reference count, so a
+/// clone is a pointer copy: a row handed from a table to an answer, a delta
+/// or the next table epoch is the same allocation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Record {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Record {
     /// Wraps values into a record (validation happens at table insertion).
     pub fn new(values: Vec<Value>) -> Self {
-        Record { values }
+        Record {
+            values: values.into(),
+        }
     }
 
     /// All values.
@@ -48,16 +55,15 @@ impl Record {
         self.values.iter().map(Value::wire_size).sum()
     }
 
-    /// Keeps only the columns at `indices` (projection π).
+    /// Keeps only the columns at `indices` (projection π). Projecting onto
+    /// every column in order hands back the same shared record.
     pub fn project(&self, indices: &[usize]) -> Record {
+        if indices.len() == self.values.len() && indices.iter().copied().eq(0..indices.len()) {
+            return self.clone();
+        }
         Record {
             values: indices.iter().map(|&i| self.values[i].clone()).collect(),
         }
-    }
-
-    /// Consumes the record, returning its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
     }
 }
 

@@ -4,11 +4,18 @@
 //! ("duplicate values can be disambiguated by appending a replica number"),
 //! each row carries a `replica` number making `(key, replica)` unique, and
 //! rows are maintained in `(key, replica)` order.
+//!
+//! Rows live in a [`CowVec`], so cloning a table is `O(1)` and the clone
+//! shares every row an insert, removal or update does not touch — which is
+//! what lets a served table be re-published per update batch at the cost
+//! of the batch.
 
+use crate::cowvec::CowVec;
 use crate::record::Record;
 use crate::schema::{Schema, SchemaError};
 use std::fmt;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
+use std::sync::OnceLock;
 
 /// A row: the record plus its replica disambiguator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,12 +31,25 @@ impl Row {
     }
 }
 
+/// The contiguous copy of the rows that [`Table::rows`] hands out, built
+/// when first asked for. It belongs to one state of one table: a clone
+/// starts without it and every mutation discards it.
+#[derive(Debug, Default)]
+struct FlatRows(OnceLock<Box<[Row]>>);
+
+impl Clone for FlatRows {
+    fn clone(&self) -> Self {
+        FlatRows::default()
+    }
+}
+
 /// A relation sorted on its key attribute.
 #[derive(Clone, Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: Vec<Row>,
+    rows: CowVec<Row>,
+    flat: FlatRows,
 }
 
 impl Table {
@@ -38,7 +58,8 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: Vec::new(),
+            rows: CowVec::new(),
+            flat: FlatRows::default(),
         }
     }
 
@@ -62,9 +83,27 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// All rows in `(key, replica)` order.
+    /// All rows in `(key, replica)` order, as one slice. The first call
+    /// after a mutation (or on a fresh clone) copies the row handles into
+    /// contiguous memory, `O(n)`; code on a query or update path uses
+    /// [`Table::iter`], [`Table::row`] or [`Table::scan_range`] instead.
+    /// Hidden from the docs: it stays for the frozen `adpbench` sources and
+    /// goes once they read rows through [`Table::iter`].
+    #[doc(hidden)]
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        self.flat
+            .0
+            .get_or_init(|| self.rows.iter().cloned().collect())
+    }
+
+    /// All rows in `(key, replica)` order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Row> {
+        self.rows.iter()
+    }
+
+    /// The rows at `positions`, in order.
+    pub fn range(&self, positions: Range<usize>) -> impl ExactSizeIterator<Item = &Row> {
+        self.rows.range(positions)
     }
 
     /// Row at a position.
@@ -86,12 +125,14 @@ impl Table {
         } else {
             0
         };
+        self.flat = FlatRows::default();
         self.rows.insert(pos, Row { replica, record });
         Ok(pos)
     }
 
     /// Removes the row at `pos`, returning it.
     pub fn remove_at(&mut self, pos: usize) -> Row {
+        self.flat = FlatRows::default();
         self.rows.remove(pos)
     }
 
@@ -138,10 +179,7 @@ impl Table {
         hi: Bound<i64>,
     ) -> impl Iterator<Item = (usize, &Row)> {
         let (s, e) = self.key_range_positions(lo, hi);
-        self.rows[s..e]
-            .iter()
-            .enumerate()
-            .map(move |(i, r)| (s + i, r))
+        (s..e).zip(self.range(s..e))
     }
 
     /// Replaces non-key attributes of the row at `pos` in place.
@@ -156,6 +194,7 @@ impl Table {
             self.rows[pos].record.key(&self.schema),
             "update_in_place cannot change the key attribute"
         );
+        self.flat = FlatRows::default();
         self.rows[pos].record = record;
         Ok(())
     }
@@ -202,7 +241,7 @@ impl Table {
             }
             i = j;
         }
-        t.rows = rows;
+        t.rows = rows.into();
         Ok(t)
     }
 }
@@ -210,7 +249,7 @@ impl Table {
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "TABLE {} ({} rows)", self.name, self.rows.len())?;
-        for row in self.rows.iter().take(20) {
+        for row in self.iter().take(20) {
             writeln!(f, "  {}", row.record)?;
         }
         if self.rows.len() > 20 {

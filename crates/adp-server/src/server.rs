@@ -1077,16 +1077,23 @@ impl ServerHandle {
         // Scoped so the tables write-lock is released before fan-out takes
         // `subs` (registration jobs acquire `subs` before reading
         // `tables`; holding both here would deadlock against them).
-        let epoch = {
+        let (epoch, previous) = {
             let mut tables = write_recover(&self.inner.tables);
             let slot = tables
                 .get_mut(&table_id)
                 .expect("store-backed table is registered");
-            slot.st = Arc::clone(&fresh);
             slot.epoch += 1;
-            slot.epoch
+            (
+                slot.epoch,
+                std::mem::replace(&mut slot.st, Arc::clone(&fresh)),
+            )
         };
         fan_out(&self.inner, table_id, seq, epoch, &fresh, ops, resigned);
+        // The registry's handle to the previous epoch is often the last
+        // one: let it go only now, so whatever the batch replaced is freed
+        // with neither `tables` (every reader's lookup) nor `stores` held.
+        drop(stores);
+        drop(previous);
         Ok(epoch)
     }
 
@@ -1364,6 +1371,65 @@ mod tests {
             assert!(Arc::ptr_eq(blob, &answer(inner, plan).unwrap()));
         }
         assert_eq!(inner.snapshot().invalidations, after.invalidations);
+
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Snapshot isolation across a swap: a reader that took the served
+    /// table before an update keeps answering from exactly that epoch — and
+    /// what it proves verifies — while the update commits without waiting
+    /// for it. Afterwards the reader's handle is the only one left, so the
+    /// old epoch is released when the reader lets go, not under a lock.
+    #[test]
+    fn reader_snapshot_survives_an_update_it_did_not_block() {
+        let owner = test_owner();
+        let mut owner_st = signed(&owner, "p", &[5, 15, 25, 35, 45]);
+        let cert = owner.certificate(&owner_st);
+        let dir = std::env::temp_dir().join(format!("adp-server-snap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut server = Server::new(ServerConfig::default());
+        server.add_store(1, Store::create(&dir, owner_st.clone()).unwrap());
+        let handle = server.serve("127.0.0.1:0").unwrap();
+        let inner = &handle.inner;
+
+        let served = |inner: &Inner| Arc::clone(&read_recover(&inner.tables)[&1].st);
+        let reader = served(inner);
+        let query = SelectQuery::range(KeyRange::closed(0, 100));
+        let old_answer = Publisher::new(&reader).answer_select(&query).unwrap();
+
+        let report = owner
+            .apply_batch(
+                &mut owner_st,
+                vec![
+                    Mutation::Insert(row(55)),
+                    Mutation::Delete {
+                        key: 15,
+                        replica: 0,
+                    },
+                ],
+            )
+            .unwrap();
+        // Returns with `reader` still held.
+        let epoch = handle
+            .apply_update(1, &report.ops, &report.resigned)
+            .unwrap();
+        assert_eq!(epoch, 1);
+        assert_eq!(Arc::strong_count(&reader), 1, "only the reader holds it");
+
+        // The held snapshot answers as before, and the answer verifies.
+        let (rows, vo) = Publisher::new(&reader).answer_select(&query).unwrap();
+        assert_eq!((&rows, &vo), (&old_answer.0, &old_answer.1));
+        assert_eq!(rows.len(), 5);
+        verify_select(&cert, &query, &rows, &vo).expect("old epoch still proves its answer");
+        assert!(reader.audit());
+
+        // The registry serves the new epoch.
+        let fresh = served(inner);
+        let (rows, vo) = Publisher::new(&fresh).answer_select(&query).unwrap();
+        let keys: Vec<i64> = rows.iter().map(|r| r.key(&cert.schema)).collect();
+        assert_eq!(keys, [5, 25, 35, 45, 55]);
+        verify_select(&cert, &query, &rows, &vo).expect("new epoch proves its answer");
 
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

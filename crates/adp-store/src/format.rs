@@ -74,7 +74,7 @@ pub fn encode_snapshot(st: &SignedTable, base_seq: u64) -> Vec<u8> {
         config: *st.config(),
         public_key: st.public_key().clone(),
     };
-    let rows: Vec<Record> = st.table().rows().iter().map(|r| r.record.clone()).collect();
+    let rows: Vec<Record> = st.table().iter().map(|r| r.record.clone()).collect();
     let sigs: Vec<Signature> = (0..st.chain_len())
         .map(|i| st.entry(i).signature.clone())
         .collect();

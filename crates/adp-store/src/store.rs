@@ -4,9 +4,10 @@
 //! Commit discipline:
 //!
 //! * [`Store::apply_batch`] / [`Store::apply_replayed`] stage the batch on
-//!   a **clone** of the table, append the log record (synced), and only
-//!   then swap the clone in — an error at any step leaves both the disk
-//!   and the in-memory table at the previous state.
+//!   a **copy** of the table (`O(1)`: a clone shares all a batch does not
+//!   touch), append the log record (synced), and only then swap the copy
+//!   in — an error at any step leaves the disk, the in-memory table and
+//!   every reader's [`Store::table_arc`] epoch at the previous state.
 //! * [`Store::compact`] writes the new snapshot to a temp file and
 //!   `rename`s it over the old one before truncating the log, so a crash
 //!   between the two steps leaves a fresh snapshot plus a log of
@@ -326,13 +327,7 @@ impl Store {
         }
         let mut next = (*self.table).clone();
         let report = owner.apply_batch(&mut next, ops)?;
-        self.append_record(&LogRecord {
-            seq: self.next_seq,
-            ops: report.ops.clone(),
-            resigned: report.resigned.clone(),
-        })?;
-        self.table = Arc::new(next);
-        self.next_seq += 1;
+        self.commit(next, report.ops.clone(), report.resigned.clone())?;
         Ok(report)
     }
 
@@ -346,14 +341,7 @@ impl Store {
     ) -> Result<(), StoreError> {
         let mut next = (*self.table).clone();
         next.replay_batch(ops, resigned)?;
-        self.append_record(&LogRecord {
-            seq: self.next_seq,
-            ops: ops.to_vec(),
-            resigned: resigned.to_vec(),
-        })?;
-        self.table = Arc::new(next);
-        self.next_seq += 1;
-        Ok(())
+        self.commit(next, ops.to_vec(), resigned.to_vec())
     }
 
     /// Folds the update log into a fresh snapshot: writes the current
@@ -380,11 +368,20 @@ impl Store {
         self.table.audit()
     }
 
-    fn append_record(&self, rec: &LogRecord) -> Result<(), StoreError> {
+    /// Both ingest paths commit here: append the log record (synced), and
+    /// only then make the staged table the live one.
+    fn commit(
+        &mut self,
+        next: SignedTable,
+        ops: Vec<Mutation>,
+        resigned: Vec<(u32, Signature)>,
+    ) -> Result<(), StoreError> {
+        let seq = self.next_seq;
         crash_point("store.append.before");
         let path = self.dir.join(LOG_FILE);
         let committed_len = self.io.file_len(&path)?;
-        if let Err(e) = self.io.append_sync(&path, &encode_record(rec)) {
+        let record = encode_record(&LogRecord { seq, ops, resigned });
+        if let Err(e) = self.io.append_sync(&path, &record) {
             // Roll a torn append back so the log stays parseable: later
             // appends must never land after partial garbage. (If the
             // rollback itself is interrupted, `open` truncates the torn
@@ -393,6 +390,8 @@ impl Store {
             return Err(StoreError::Io(e));
         }
         crash_point("store.append.after");
+        self.table = Arc::new(next);
+        self.next_seq += 1;
         Ok(())
     }
 }

@@ -279,6 +279,62 @@ fn forged_record_with_valid_crc_rejected_by_signature_check() {
 }
 
 #[test]
+fn record_with_two_signatures_swapped_is_rejected_live_and_at_open() {
+    // Two honest signatures traded between their positions multiply to the
+    // same product, so a condensed-RSA aggregate over the record would
+    // accept them; replay checks each against its own link digest. Neither
+    // a live publisher nor a reopening one may take the record in.
+    let owner = test_owner();
+    let mut owner_st = sign(8);
+    let report = owner
+        .apply_batch(&mut owner_st, vec![Mutation::Insert(rec(60, 4_000))])
+        .unwrap();
+    let mut swapped = report.resigned.clone();
+    let (a, b) = (swapped[0].1.clone(), swapped[2].1.clone());
+    (swapped[0].1, swapped[2].1) = (b, a);
+    let forged_pos = report.resigned[0].0 as usize;
+    let is_forgery = |err: &StoreError| {
+        matches!(
+            err,
+            StoreError::Owner(adp_core::owner::OwnerError::ResignatureInvalid { chain_pos })
+                if *chain_pos == forged_pos
+        )
+    };
+
+    let dir = workdir("swap");
+    let mut store = Store::create(&dir, sign(8)).unwrap();
+    let before = store.snapshot_bytes();
+    let err = store
+        .apply_replayed(&report.ops, &swapped)
+        .expect_err("swapped signatures must be rejected");
+    assert!(is_forgery(&err), "{err:?}");
+    assert!(
+        store.snapshot_bytes() == before,
+        "rejected batch moved the table"
+    );
+    assert_eq!(
+        store.log_record_count(),
+        0,
+        "rejected batch reached the log"
+    );
+    assert!(store.audit());
+    drop(store);
+
+    let forged = adp_store::LogRecord {
+        seq: 0,
+        ops: report.ops.clone(),
+        resigned: swapped,
+    };
+    let log_path = dir.join(LOG_FILE);
+    let mut log: Vec<u8> = adp_store::log::log_header().to_vec();
+    log.extend_from_slice(&adp_store::log::encode_record(&forged));
+    fs::write(&log_path, log).unwrap();
+    let err = Store::open(&dir).expect_err("swapped signatures must be rejected at open");
+    assert!(is_forgery(&err), "{err:?}");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn interrupted_compaction_recovers_on_open() {
     // Simulate a crash between compact()'s two steps: the new snapshot
     // (base_seq advanced) landed, but the old log — full of already-folded
