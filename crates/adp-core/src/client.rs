@@ -347,6 +347,11 @@ mod tests {
     }
 
     fn setup() -> (crate::owner::SignedTable, Certificate) {
+        setup_rows(20)
+    }
+
+    /// `rows` ledger rows `(10i + 5, 100i, even|odd)`.
+    fn setup_rows(rows: i64) -> (crate::owner::SignedTable, Certificate) {
         let schema = Schema::new(
             vec![
                 Column::new("k", ValueType::Int),
@@ -356,7 +361,7 @@ mod tests {
             "k",
         );
         let mut t = Table::new("ledger", schema);
-        for i in 0..20i64 {
+        for i in 0..rows {
             t.insert(adp_relation::Record::new(vec![
                 Value::Int(i * 10 + 5),
                 Value::Int(i * 100),
@@ -367,7 +372,7 @@ mod tests {
         let st = owner()
             .sign_table(
                 t,
-                crate::domain::Domain::new(0, 1_000),
+                crate::domain::Domain::new(0, 1_000.max(10 * rows + 100)),
                 SchemeConfig::default(),
             )
             .unwrap();
@@ -392,35 +397,65 @@ mod tests {
         assert!(stats.traffic_overhead_pct() > 0.0);
     }
 
+    /// A table whose full-range answer is well above the verifier's split
+    /// point, so its verification is fanned out over helper threads.
+    const SPLIT_ROWS: i64 = 640;
+
     #[test]
     fn concurrent_sessions_count_only_their_own_hashes() {
-        let (st, cert) = setup();
-        let q = SelectQuery::range(KeyRange::closed(0, 100));
-        let (rows, vo) = Publisher::new(&st).answer_select(&q).unwrap();
-        let (result, vo) = (wire::encode_records(&rows), wire::encode_vo(&vo));
-        let verify = |stats: &mut SessionStats| {
-            stats.verify_select(&cert, &q, &result, &vo).unwrap();
-        };
-        let mut alone = SessionStats::default();
-        verify(&mut alone);
-        assert!(alone.hash_ops > 0);
+        // A 10-row answer verified on the calling thread, and a 640-row one
+        // whose hashes are partly done by helpers.
+        for (rows, range, rounds) in [
+            (20, KeyRange::closed(0, 100), 40),
+            (SPLIT_ROWS, KeyRange::all(), 6),
+        ] {
+            let (st, cert) = setup_rows(rows);
+            let q = SelectQuery::range(range);
+            let (rows, vo) = Publisher::new(&st).answer_select(&q).unwrap();
+            let (result, vo) = (wire::encode_records(&rows), wire::encode_vo(&vo));
+            let verify = |stats: &mut SessionStats| {
+                stats.verify_select(&cert, &q, &result, &vo).unwrap();
+            };
+            let mut alone = SessionStats::default();
+            verify(&mut alone);
+            assert!(alone.hash_ops > 0);
 
-        // Two sessions verifying the same answer at the same time, released
-        // together, each long enough to overlap the other.
-        const ROUNDS: u64 = 40;
-        let start = std::sync::Barrier::new(2);
-        let session = || {
-            let mut stats = SessionStats::default();
-            start.wait();
-            (0..ROUNDS).for_each(|_| verify(&mut stats));
-            stats
+            // Two sessions verifying the same answer at the same time,
+            // released together, each long enough to overlap the other.
+            let start = std::sync::Barrier::new(2);
+            let session = || {
+                let mut stats = SessionStats::default();
+                start.wait();
+                (0..rounds).for_each(|_| verify(&mut stats));
+                stats
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let other = s.spawn(session);
+                (session(), other.join().unwrap())
+            });
+            assert_eq!(a.hash_ops, rounds * alone.hash_ops, "{} rows", rows.len());
+            assert_eq!(b.hash_ops, rounds * alone.hash_ops, "{} rows", rows.len());
+        }
+    }
+
+    #[test]
+    fn a_split_answer_counts_the_hashes_of_a_one_worker_run() {
+        let (st, cert) = setup_rows(SPLIT_ROWS);
+        let q = SelectQuery::range(KeyRange::all());
+        let (rows, vo) = Publisher::new(&st).answer_select(&q).unwrap();
+        let hashes_on = |workers| {
+            let before = adp_crypto::thread_hash_ops();
+            crate::verifier::verify_select_with(&cert, &q, &rows, &vo, workers).unwrap();
+            adp_crypto::thread_hash_ops() - before
         };
-        let (a, b) = std::thread::scope(|s| {
-            let other = s.spawn(session);
-            (session(), other.join().unwrap())
-        });
-        assert_eq!(a.hash_ops, ROUNDS * alone.hash_ops);
-        assert_eq!(b.hash_ops, ROUNDS * alone.hash_ops);
+        let one_worker = hashes_on(1);
+        assert_eq!(hashes_on(4), one_worker);
+
+        let mut stats = SessionStats::default();
+        let (result, vo) = (wire::encode_records(&rows), wire::encode_vo(&vo));
+        stats.verify_select(&cert, &q, &result, &vo).unwrap();
+        assert_eq!(stats.rows_verified, SPLIT_ROWS as usize);
+        assert_eq!(stats.hash_ops, one_worker);
     }
 
     #[test]

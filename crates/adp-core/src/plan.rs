@@ -549,7 +549,7 @@ fn read_projection(r: &mut Reader) -> Result<Projection, WireError> {
         0 => Ok(Projection::All),
         1 => {
             let n = r.u32()? as usize;
-            let mut cols = Vec::with_capacity(n.min(1024));
+            let mut cols = r.vec_for(n, wire::MIN_BYTES_LEN);
             for _ in 0..n {
                 let raw = r.bytes()?;
                 let s =

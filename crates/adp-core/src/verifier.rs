@@ -29,6 +29,7 @@ use crate::vo::{
     AttrProof, BoundaryProof, EntryChains, EntryProof, PrevG, QueryVO, RangeVO, RepProof,
     SignatureProof,
 };
+use adp_crypto::par::{self, Split};
 use adp_crypto::{
     chain_extend, chain_extend_many, hasher::HashDomain, root_from_mixed, verify_inclusion, Digest,
     Hasher, MixedLeaf, PublicKey,
@@ -50,14 +51,28 @@ pub struct VerifyReport {
     pub empty: bool,
 }
 
-/// Verifies a select-project(-distinct) result against its VO.
+/// Verifies a select-project(-distinct) result against its VO. A long
+/// answer is verified on the available cores (see [`Split::VERIFY`]); the
+/// outcome is the same as on one.
 pub fn verify_select(
     cert: &Certificate,
     query: &SelectQuery,
     result: &[Record],
     vo: &QueryVO,
 ) -> Result<VerifyReport, VerifyError> {
-    let ctx = Ctx::new(cert, query)?;
+    verify_select_with(cert, query, result, vo, par::workers())
+}
+
+/// [`verify_select`] on at most `workers` threads: the seam tests use to
+/// hold the split verifier to the one-worker one.
+pub(crate) fn verify_select_with(
+    cert: &Certificate,
+    query: &SelectQuery,
+    result: &[Record],
+    vo: &QueryVO,
+    workers: usize,
+) -> Result<VerifyReport, VerifyError> {
+    let ctx = Ctx::new(cert, query, workers)?;
     match (cert.domain.normalize(&query.range), vo) {
         (None, QueryVO::TriviallyEmpty) => {
             if result.is_empty() {
@@ -98,10 +113,16 @@ struct Ctx<'a> {
     proj: Vec<usize>,
     /// Result slot holding the key column.
     key_slot: usize,
+    /// Threads a long answer's per-entry work may use.
+    workers: usize,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(cert: &'a Certificate, query: &'a SelectQuery) -> Result<Self, VerifyError> {
+    fn new(
+        cert: &'a Certificate,
+        query: &'a SelectQuery,
+        workers: usize,
+    ) -> Result<Self, VerifyError> {
         let schema = &cert.schema;
         for f in &query.filters {
             match schema.column_index(&f.column) {
@@ -139,6 +160,7 @@ impl<'a> Ctx<'a> {
             radix,
             proj,
             key_slot,
+            workers,
         })
     }
 
@@ -187,6 +209,16 @@ impl<'a> Ctx<'a> {
         })
     }
 
+    /// Figure 8 over a range answer, in two steps.
+    ///
+    /// A sequential structural pre-pass settles which record each entry
+    /// stands for (a match takes the next record, a duplicate may only point
+    /// back at one already taken) and finds the first entry whose shape
+    /// alone is wrong. The per-entry work — precision checks, attribute
+    /// root, chain components — then runs over the entries before that one,
+    /// in chunks on the available cores above [`Split::VERIFY`]'s split
+    /// point; the link windows likewise. The first error in entry order
+    /// wins, so the `Result` is the one a single worker returns.
     fn verify_range(
         &self,
         bounds: &QueryBounds,
@@ -198,93 +230,65 @@ impl<'a> Ctx<'a> {
                 detail: "range VO must contain at least one entry",
             });
         }
-        let mut g_seq: Vec<GDigest> = Vec::with_capacity(rv.entries.len() + 2);
         let left_comp = self.boundary_component(&rv.left, Direction::Up, bounds, "left")?;
-        g_seq.push(GDigest {
-            up: left_comp,
-            down: rv.left.other_component,
-            attrs: rv.left.attr_root,
-        });
 
-        let mut matched = 0usize;
-        let mut filtered = 0usize;
-        let mut duplicates = 0usize;
-        let mut next_record = 0usize;
-
+        let mut record_of: Vec<Option<&Record>> = Vec::with_capacity(rv.entries.len());
+        let (mut matched, mut filtered, mut duplicates) = (0usize, 0usize, 0usize);
+        let mut shape = Ok(());
         for (i, entry) in rv.entries.iter().enumerate() {
-            match entry {
-                EntryProof::Match { chains, attrs } => {
-                    let rec = result
-                        .get(next_record)
-                        .ok_or(VerifyError::ResultCountMismatch {
-                            records: result.len(),
-                            matches: rv
-                                .entries
-                                .iter()
-                                .filter(|e| matches!(e, EntryProof::Match { .. }))
-                                .count(),
-                        })?;
-                    let key = self.check_record(rec, bounds, i)?;
-                    let root = self.attr_root_for_record(rec, attrs, i)?;
-                    let (up, down) = self.entry_chain_components(key, chains)?;
-                    g_seq.push(GDigest {
-                        up,
-                        down,
-                        attrs: root,
+            let record = match entry {
+                EntryProof::Match { .. } if matched == result.len() => {
+                    shape = Err(VerifyError::ResultCountMismatch {
+                        records: result.len(),
+                        matches: rv
+                            .entries
+                            .iter()
+                            .filter(|e| matches!(e, EntryProof::Match { .. }))
+                            .count(),
                     });
+                    break;
+                }
+                EntryProof::Match { .. } => {
                     matched += 1;
-                    next_record += 1;
+                    Some(&result[matched - 1])
                 }
-                EntryProof::Filtered {
-                    up_component,
-                    down_component,
-                    attrs,
-                } => {
-                    if self.query.filters.is_empty() {
-                        return Err(VerifyError::UnexpectedFilteredEntry { entry: i });
-                    }
-                    self.check_filtered_proven(attrs, i)?;
-                    let root = self.attr_root_from_disclosure(attrs, i)?;
-                    g_seq.push(GDigest {
-                        up: *up_component,
-                        down: *down_component,
-                        attrs: root,
-                    });
+                EntryProof::Filtered { .. } if self.query.filters.is_empty() => {
+                    shape = Err(VerifyError::UnexpectedFilteredEntry { entry: i });
+                    break;
+                }
+                EntryProof::Filtered { .. } => {
                     filtered += 1;
+                    None
                 }
-                EntryProof::Duplicate { of, chains, attrs } => {
-                    if !self.query.distinct {
-                        return Err(VerifyError::DistinctViolation {
-                            detail: "duplicate-elimination entry in a non-DISTINCT query",
-                        });
-                    }
-                    let of = *of as usize;
-                    if of >= next_record {
-                        // Duplicates must reference an already-verified
-                        // earlier match (first occurrence is retained).
-                        return Err(VerifyError::DuplicateRefInvalid { entry: i });
-                    }
-                    let rec = &result[of];
-                    let key = rec
-                        .get(self.key_slot)
-                        .as_int()
-                        .ok_or(VerifyError::DuplicateRefInvalid { entry: i })?;
-                    let root = self.attr_root_for_record(rec, attrs, i)?;
-                    let (up, down) = self.entry_chain_components(key, chains)?;
-                    g_seq.push(GDigest {
-                        up,
-                        down,
-                        attrs: root,
+                EntryProof::Duplicate { .. } if !self.query.distinct => {
+                    shape = Err(VerifyError::DistinctViolation {
+                        detail: "duplicate-elimination entry in a non-DISTINCT query",
                     });
-                    duplicates += 1;
+                    break;
                 }
-            }
+                // Duplicates must reference an earlier match (the first
+                // occurrence is retained).
+                EntryProof::Duplicate { of, .. } if *of as usize >= matched => {
+                    shape = Err(VerifyError::DuplicateRefInvalid { entry: i });
+                    break;
+                }
+                EntryProof::Duplicate { of, .. } => {
+                    duplicates += 1;
+                    Some(&result[*of as usize])
+                }
+            };
+            record_of.push(record);
         }
 
-        if next_record != result.len() {
+        let entry_gs = par::try_map_chunks(record_of.len(), Split::VERIFY, self.workers, |r| {
+            r.map(|i| self.entry_g(i, &rv.entries[i], record_of[i], bounds))
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        shape?;
+        if matched != result.len() {
             return Err(VerifyError::ResultCountMismatch {
                 records: result.len(),
-                matches: next_record,
+                matches: matched,
             });
         }
         if self.query.distinct {
@@ -299,13 +303,26 @@ impl<'a> Ctx<'a> {
         }
 
         let right_comp = self.boundary_component(&rv.right, Direction::Down, bounds, "right")?;
+        let mut g_seq: Vec<GDigest> = Vec::with_capacity(rv.entries.len() + 2);
+        g_seq.push(GDigest {
+            up: left_comp,
+            down: rv.left.other_component,
+            attrs: rv.left.attr_root,
+        });
+        g_seq.extend(entry_gs.into_iter().flatten());
         g_seq.push(GDigest {
             up: rv.right.other_component,
             down: right_comp,
             attrs: rv.right.attr_root,
         });
 
-        let links = link_digests_of(&self.hasher, &g_seq);
+        // Link `j` hashes the window `g_seq[j..j + 3]`.
+        let links = par::concat(par::map_chunks(
+            rv.entries.len(),
+            Split::VERIFY,
+            self.workers,
+            |r| link_digests_of(&self.hasher, &g_seq[r.start..r.end + 2]),
+        ));
         self.verify_signatures(&links, &rv.signatures)?;
 
         Ok(VerifyReport {
@@ -315,6 +332,54 @@ impl<'a> Ctx<'a> {
             signatures_verified: links.len(),
             empty: false,
         })
+    }
+
+    /// The per-entry work of [`Self::verify_range`]: entry `i`'s `g`, from
+    /// the record the structural pre-pass assigned it (`None` for a
+    /// filtered entry).
+    ///
+    /// It may run before the entries ahead of it are checked, so it must
+    /// not rely on them: a duplicate's record is re-checked for shape here,
+    /// and when that fails, the match that took the record fails too, at
+    /// an earlier entry, whose error is the one returned.
+    fn entry_g(
+        &self,
+        i: usize,
+        entry: &EntryProof,
+        record: Option<&Record>,
+        bounds: &QueryBounds,
+    ) -> Result<GDigest, VerifyError> {
+        let (up, down, attrs) = match (entry, record) {
+            (EntryProof::Match { chains, attrs }, Some(rec)) => {
+                let key = self.check_record(rec, bounds, i)?;
+                let root = self.attr_root_for_record(rec, attrs, i)?;
+                let (up, down) = self.entry_chain_components(key, chains)?;
+                (up, down, root)
+            }
+            (
+                EntryProof::Filtered {
+                    up_component,
+                    down_component,
+                    attrs,
+                },
+                None,
+            ) => {
+                self.check_filtered_proven(attrs, i)?;
+                let root = self.attr_root_from_disclosure(attrs, i)?;
+                (*up_component, *down_component, root)
+            }
+            (EntryProof::Duplicate { chains, attrs, .. }, Some(rec)) => {
+                let key = Some(rec)
+                    .filter(|rec| rec.arity() == self.proj.len())
+                    .and_then(|rec| rec.get(self.key_slot).as_int())
+                    .ok_or(VerifyError::DuplicateRefInvalid { entry: i })?;
+                let root = self.attr_root_for_record(rec, attrs, i)?;
+                let (up, down) = self.entry_chain_components(key, chains)?;
+                (up, down, root)
+            }
+            _ => unreachable!("the pre-pass assigns records to matches and duplicates only"),
+        };
+        Ok(GDigest { up, down, attrs })
     }
 
     /// Validates a returned record's shape, typing, range membership and
@@ -593,4 +658,257 @@ pub fn verify_select_wire(
     })?;
     let report = verify_select(cert, query, &result, &vo)?;
     Ok((result, report))
+}
+
+#[cfg(test)]
+mod tests {
+    //! The split verifier against the one-worker verifier, on answers well
+    //! above the split point.
+    use super::*;
+    use crate::domain::Domain;
+    use crate::owner::{Owner, SignedTable};
+    use crate::publisher::Publisher;
+    use crate::wire::{decode_records, decode_vo, encode_records, encode_vo};
+    use adp_relation::{Column, CompareOp, KeyRange, Predicate, Table, Value, ValueType};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::OnceLock;
+
+    /// Enough workers to split on any host, one-core ones included.
+    const SPLIT: usize = 4;
+
+    /// 640 staff rows keyed on salary (1000, 1010, …), `dept` cycling 0–2,
+    /// plus a second replica of every 50th row with the same salary and
+    /// `dept`, so the DISTINCT answer carries duplicate entries.
+    fn fixture() -> &'static (SignedTable, Certificate) {
+        static FIXTURE: OnceLock<(SignedTable, Certificate)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let owner = Owner::new(512, &mut StdRng::seed_from_u64(0x5B117));
+            let schema = Schema::new(
+                vec![
+                    Column::new("id", ValueType::Int),
+                    Column::new("name", ValueType::Text),
+                    Column::new("salary", ValueType::Int),
+                    Column::new("dept", ValueType::Int),
+                ],
+                "salary",
+            );
+            let mut table = Table::new("staff", schema);
+            let row = |id: i64, name: String, i: i64| {
+                Record::new(vec![
+                    Value::Int(id),
+                    Value::from(name),
+                    Value::Int(1_000 + 10 * i),
+                    Value::Int(i % 3),
+                ])
+            };
+            for i in 0..640 {
+                table.insert(row(i, format!("emp{i}"), i)).unwrap();
+                if i % 50 == 7 {
+                    table.insert(row(1_000 + i, format!("dup{i}"), i)).unwrap();
+                }
+            }
+            let st = owner
+                .sign_table(table, Domain::new(0, 100_000), SchemeConfig::default())
+                .unwrap();
+            let cert = owner.certificate(&st);
+            (st, cert)
+        })
+    }
+
+    /// Range, multipoint and projected-DISTINCT selects, each over ≈ 650
+    /// VO entries: matches only, matches and filtered entries, matches and
+    /// duplicates.
+    fn queries() -> [SelectQuery; 3] {
+        let range = SelectQuery::range(KeyRange::closed(1_005, 7_385));
+        [
+            range.clone(),
+            range
+                .clone()
+                .filter(Predicate::new("dept", CompareOp::Eq, 1i64)),
+            range.project(&["dept"]).distinct(),
+        ]
+    }
+
+    fn verify_both(
+        query: &SelectQuery,
+        result: &[Record],
+        vo: &QueryVO,
+    ) -> [Result<VerifyReport, VerifyError>; 2] {
+        let cert = &fixture().1;
+        [1, SPLIT].map(|workers| verify_select_with(cert, query, result, vo, workers))
+    }
+
+    #[test]
+    fn honest_answers_verify_alike_split_or_not() {
+        let publisher = Publisher::new(&fixture().0);
+        for query in queries() {
+            let (result, vo) = publisher.answer_select(&query).unwrap();
+            let QueryVO::Range(rv) = &vo else {
+                panic!("a range answer")
+            };
+            assert!(rv.entries.len() >= 600, "{} entries", rv.entries.len());
+            let [one, split] = verify_both(&query, &result, &vo);
+            let report = one.unwrap();
+            assert_eq!(split, Ok(report));
+            assert_eq!(report.matched, result.len());
+            assert_eq!(
+                report.matched + report.filtered + report.duplicates,
+                rv.entries.len()
+            );
+        }
+    }
+
+    /// Replaces an entry's attribute root: the entry's own check fails
+    /// with `AttrRootMismatch` naming it.
+    fn break_attr_root(entry: &mut EntryProof) {
+        let attrs = match entry {
+            EntryProof::Match { attrs, .. }
+            | EntryProof::Filtered { attrs, .. }
+            | EntryProof::Duplicate { attrs, .. } => attrs,
+        };
+        attrs.root = Hasher::default().hash(HashDomain::Data, b"not the root");
+    }
+
+    #[test]
+    fn faults_at_chunk_edges_are_named_alike_split_or_not() {
+        let chunk = Split::VERIFY.chunk;
+        let publisher = Publisher::new(&fixture().0);
+        for query in queries() {
+            let (result, vo) = publisher.answer_select(&query).unwrap();
+            let QueryVO::Range(rv) = &vo else {
+                panic!("a range answer")
+            };
+            let last = rv.entries.len() - 1;
+            for first in [0, chunk - 1, chunk, 7 * chunk - 1, 7 * chunk, last] {
+                // The fault at `first`, and one right after it: after a
+                // chunk's last entry that opens the next chunk, which a
+                // helper fails at once while the caller is still working
+                // towards `first`.
+                let mut bad = rv.clone();
+                break_attr_root(&mut bad.entries[first]);
+                if first < last {
+                    break_attr_root(&mut bad.entries[first + 1]);
+                }
+                let [one, split] = verify_both(&query, &result, &QueryVO::Range(bad));
+                assert_eq!(one, Err(VerifyError::AttrRootMismatch { entry: first }));
+                assert_eq!(split, one, "{query:?}, fault at {first}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shape_fault_yields_to_an_earlier_entry_fault_only() {
+        // A filtered entry in a query without filters is caught by the
+        // structural pre-pass; an entry before it failing its own checks
+        // still wins, one after it does not.
+        let query = &queries()[0];
+        let (result, vo) = Publisher::new(&fixture().0).answer_select(query).unwrap();
+        let QueryVO::Range(rv) = &vo else {
+            panic!("a range answer")
+        };
+        let shape_at = 9 * Split::VERIFY.chunk + 5;
+        let mut base = rv.clone();
+        let EntryProof::Match { attrs, .. } = &base.entries[shape_at] else {
+            panic!("a range select has match entries only")
+        };
+        base.entries[shape_at] = EntryProof::Filtered {
+            up_component: attrs.root,
+            down_component: attrs.root,
+            attrs: attrs.clone(),
+        };
+        for (fault_at, expected) in [
+            (
+                shape_at - 40,
+                VerifyError::AttrRootMismatch {
+                    entry: shape_at - 40,
+                },
+            ),
+            (
+                shape_at + 40,
+                VerifyError::UnexpectedFilteredEntry { entry: shape_at },
+            ),
+        ] {
+            let mut bad = base.clone();
+            break_attr_root(&mut bad.entries[fault_at]);
+            let [one, split] = verify_both(query, &result, &QueryVO::Range(bad));
+            assert_eq!(one, Err(expected));
+            assert_eq!(split, one);
+        }
+    }
+
+    #[test]
+    fn a_duplicate_of_a_malformed_record_is_reported_at_the_match() {
+        // Split, a duplicate may be checked before the match that took its
+        // record: it must neither panic on the record's shape nor decide
+        // the error.
+        let (st, cert) = fixture();
+        let query = &queries()[2];
+        let (mut result, vo) = Publisher::new(st).answer_select(query).unwrap();
+        let QueryVO::Range(rv) = &vo else {
+            panic!("a range answer")
+        };
+        let (dup_at, of) = rv
+            .entries
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(i, e)| match e {
+                EntryProof::Duplicate { of, .. } => Some((i, *of as usize)),
+                _ => None,
+            })
+            .expect("the fixture's DISTINCT answer has duplicates");
+        let malformed = Record::new(vec![Value::Int(1)]);
+        let ctx = Ctx::new(cert, query, 1).unwrap();
+        let bounds = cert.domain.normalize(&query.range).unwrap();
+        assert_eq!(
+            ctx.entry_g(dup_at, &rv.entries[dup_at], Some(&malformed), &bounds),
+            Err(VerifyError::DuplicateRefInvalid { entry: dup_at })
+        );
+
+        result[of] = malformed;
+        let match_at = rv
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e, EntryProof::Match { .. }))
+            .nth(of)
+            .map(|(i, _)| i)
+            .unwrap();
+        let [one, split] = verify_both(query, &result, &vo);
+        assert_eq!(
+            one,
+            Err(VerifyError::ProjectionMismatch { entry: match_at })
+        );
+        assert_eq!(split, one);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any single-byte mutation of an honest answer that still decodes
+        /// is rejected, with the same error — variant and entry index —
+        /// whether the verifier splits the work or not.
+        #[test]
+        fn split_verifier_equals_one_worker_under_byte_mutations(
+            shape in 0usize..3,
+            in_vo: bool,
+            at: u64,
+            flip in 1u8..=255,
+        ) {
+            let query = &queries()[shape];
+            let (rows, vo) = Publisher::new(&fixture().0).answer_select(query).unwrap();
+            let (mut result, mut vo) = (encode_records(&rows), encode_vo(&vo));
+            let bytes = if in_vo { &mut vo } else { &mut result };
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] ^= flip;
+            let decoded = decode_records(&result).and_then(|r| Ok((r, decode_vo(&vo)?)));
+            prop_assume!(decoded.is_ok());
+            let (result, vo) = decoded.unwrap();
+            let [one, split] = verify_both(query, &result, &vo);
+            prop_assert!(one.is_err(), "mutated byte {at} (vo: {in_vo}) verified");
+            prop_assert_eq!(split, one);
+        }
+    }
 }

@@ -31,6 +31,16 @@ impl fmt::Display for WireError {
 }
 impl std::error::Error for WireError {}
 
+/// Fewest bytes a length-prefixed byte string takes: its `u32` length.
+pub const MIN_BYTES_LEN: usize = 4;
+/// Fewest bytes a length-prefixed [`Value`] takes: the length and a type tag.
+pub const MIN_VALUE_LEN: usize = MIN_BYTES_LEN + 1;
+// The other list elements' fewest bytes, for `Reader::vec_for`.
+const MIN_DIGEST_LEN: usize = 1 + 16;
+const MIN_ATTRS_LEN: usize = 4 + 4 + MIN_DIGEST_LEN; // two empty lists, the root
+const MIN_ENTRY_LEN: usize = 1 + 1 + MIN_ATTRS_LEN; // a match with conceptual chains
+const MIN_RECORD_LEN: usize = 4; // arity 0
+
 /// Append-only byte writer.
 #[derive(Default)]
 pub struct Writer {
@@ -123,6 +133,15 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    /// An empty vector with room for the `n` elements a count prefix
+    /// announced, each at least `min_len` encoded bytes — but never for
+    /// more than the input still left could hold. A forged count alone can
+    /// thus not size an allocation; how many elements a decoder accepts is
+    /// still up to its own count limit.
+    pub fn vec_for<T>(&self, n: usize, min_len: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.remaining() / min_len.max(1)))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError("unexpected end of input"));
@@ -211,7 +230,7 @@ fn write_inclusion_proof(w: &mut Writer, p: &InclusionProof) {
 fn read_inclusion_proof(r: &mut Reader) -> Result<InclusionProof, WireError> {
     let leaf_index = r.u32()?;
     let n = r.u8()? as usize;
-    let mut steps = Vec::with_capacity(n);
+    let mut steps = r.vec_for(n, MIN_DIGEST_LEN + 1);
     for _ in 0..n {
         let sibling = r.digest()?;
         let sibling_is_left = match r.u8()? {
@@ -258,7 +277,7 @@ fn read_boundary(r: &mut Reader) -> Result<BoundaryProof, WireError> {
     if n > 1 << 16 {
         return Err(WireError("too many intermediates"));
     }
-    let mut intermediates = Vec::with_capacity(n);
+    let mut intermediates = r.vec_for(n, MIN_DIGEST_LEN);
     for _ in 0..n {
         intermediates.push(r.digest()?);
     }
@@ -308,7 +327,7 @@ fn read_attrs(r: &mut Reader) -> Result<AttrProof, WireError> {
     if nd > 1 << 20 {
         return Err(WireError("too many disclosed attrs"));
     }
-    let mut disclosed = Vec::with_capacity(nd);
+    let mut disclosed = r.vec_for(nd, 4 + MIN_VALUE_LEN);
     for _ in 0..nd {
         let pos = r.u32()?;
         disclosed.push((pos, r.value()?));
@@ -317,7 +336,7 @@ fn read_attrs(r: &mut Reader) -> Result<AttrProof, WireError> {
     if nh > 1 << 20 {
         return Err(WireError("too many hidden attrs"));
     }
-    let mut hidden = Vec::with_capacity(nh);
+    let mut hidden = r.vec_for(nh, 4 + MIN_DIGEST_LEN);
     for _ in 0..nh {
         let pos = r.u32()?;
         hidden.push((pos, r.digest()?));
@@ -429,7 +448,7 @@ fn read_signatures(r: &mut Reader) -> Result<SignatureProof, WireError> {
             if n > 1 << 24 {
                 return Err(WireError("too many signatures"));
             }
-            let mut v = Vec::with_capacity(n);
+            let mut v = r.vec_for(n, MIN_BYTES_LEN);
             for _ in 0..n {
                 v.push(Signature::from_bytes(r.bytes()?));
             }
@@ -499,7 +518,7 @@ pub fn decode_vo(data: &[u8]) -> Result<QueryVO, WireError> {
             if n > 1 << 24 {
                 return Err(WireError("too many entries"));
             }
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = r.vec_for(n, MIN_ENTRY_LEN);
             for _ in 0..n {
                 entries.push(read_entry(&mut r)?);
             }
@@ -613,7 +632,7 @@ fn read_schema(r: &mut Reader) -> Result<adp_relation::Schema, WireError> {
     if arity == 0 || arity > 1 << 12 {
         return Err(WireError("bad schema arity"));
     }
-    let mut cols = Vec::with_capacity(arity);
+    let mut cols = r.vec_for(arity, MIN_BYTES_LEN + 1);
     for _ in 0..arity {
         let name =
             String::from_utf8(r.bytes()?.to_vec()).map_err(|_| WireError("bad column name"))?;
@@ -662,7 +681,7 @@ pub fn decode_signatures(data: &[u8]) -> Result<Vec<Signature>, WireError> {
     if n > 1 << 24 {
         return Err(WireError("too many signatures"));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = r.vec_for(n, MIN_BYTES_LEN);
     for _ in 0..n {
         out.push(Signature::from_bytes(r.bytes()?));
     }
@@ -692,13 +711,13 @@ pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, WireError> {
     if n > 1 << 24 {
         return Err(WireError("too many records"));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = r.vec_for(n, MIN_RECORD_LEN);
     for _ in 0..n {
         let arity = r.u32()? as usize;
         if arity > 1 << 16 {
             return Err(WireError("record arity too large"));
         }
-        let mut values = Vec::with_capacity(arity);
+        let mut values = r.vec_for(arity, MIN_VALUE_LEN);
         for _ in 0..arity {
             values.push(r.value()?);
         }
@@ -814,7 +833,7 @@ fn read_query(r: &mut Reader) -> Result<SelectQuery, WireError> {
     if nf > 1 << 10 {
         return Err(WireError("too many filters"));
     }
-    let mut filters = Vec::with_capacity(nf);
+    let mut filters = r.vec_for(nf, MIN_BYTES_LEN + 1 + MIN_VALUE_LEN);
     for _ in 0..nf {
         let column =
             String::from_utf8(r.bytes()?.to_vec()).map_err(|_| WireError("bad column name"))?;
@@ -829,7 +848,7 @@ fn read_query(r: &mut Reader) -> Result<SelectQuery, WireError> {
             if nc > 1 << 12 {
                 return Err(WireError("too many projected columns"));
             }
-            let mut cols = Vec::with_capacity(nc);
+            let mut cols = r.vec_for(nc, MIN_BYTES_LEN);
             for _ in 0..nc {
                 cols.push(
                     String::from_utf8(r.bytes()?.to_vec())
@@ -865,7 +884,7 @@ fn read_record(r: &mut Reader) -> Result<Record, WireError> {
     if arity > 1 << 16 {
         return Err(WireError("record arity too large"));
     }
-    let mut values = Vec::with_capacity(arity);
+    let mut values = r.vec_for(arity, MIN_VALUE_LEN);
     for _ in 0..arity {
         values.push(r.value()?);
     }
@@ -926,7 +945,7 @@ pub fn decode_join_vo(data: &[u8]) -> Result<crate::join::PkFkJoinVO, WireError>
     if n > 1 << 24 {
         return Err(WireError("too many inner proofs"));
     }
-    let mut inner = Vec::with_capacity(n);
+    let mut inner = r.vec_for(n, MIN_RECORD_LEN + 1 + MIN_ATTRS_LEN + 2 * MIN_BYTES_LEN);
     for _ in 0..n {
         let record = read_record(&mut r)?;
         let chains = read_chains(&mut r)?;

@@ -32,6 +32,23 @@ pub fn staff_table() -> Table {
     t
 }
 
+/// [`staff_table`]'s shape at `rows` rows keyed on salary (1000, 1010, …):
+/// large enough that an answer over most of it is verified in chunks on
+/// several threads.
+pub fn large_staff_table(rows: i64) -> Table {
+    let mut t = Table::new("staff", staff_table().schema().clone());
+    for i in 0..rows {
+        t.insert(Record::new(vec![
+            Value::Int(i),
+            Value::from(format!("emp{i}")),
+            Value::Int(1_000 + i * 10),
+            Value::Int(i % 3),
+        ]))
+        .unwrap();
+    }
+    t
+}
+
 /// Employees sorted on their dept foreign key: 6 rows over depts
 /// {10, 20, 30, 40}, referentially contained in [`dept_table`].
 pub fn emp_by_dept() -> Table {

@@ -27,6 +27,7 @@
 use crate::bigint::BigUint;
 use crate::digest::Digest;
 use crate::hasher::Hasher;
+use crate::par::{self, Split};
 use crate::rsa::{PublicKey, Signature};
 
 /// An aggregated (condensed) signature.
@@ -61,18 +62,33 @@ impl AggregateSignature {
     }
 
     /// Verifies the aggregate against the multiset of signed digests.
+    ///
+    /// A long digest list is cut into chunks ([`Split::VERIFY`]) whose FDH
+    /// values and partial products are computed on the available cores; the
+    /// partials are multiplied together and compared with one `σ^e`.
+    /// Multiplication mod `n` commutes, so the compared value is the same
+    /// however the list was cut.
     pub fn verify(&self, hasher: &Hasher, public: &PublicKey, digests: &[Digest]) -> bool {
         if digests.len() != self.count {
             return false;
         }
         let n = public.modulus();
-        let lhs = public.pow_mod_n(&self.value, public.exponent());
-        let fdhs: Vec<BigUint> = digests.iter().map(|d| public.fdh(hasher, d)).collect();
-        let rhs = match public.mont_ctx() {
-            Some(ctx) => ctx.product_mod(fdhs.iter()),
-            None => fdhs.iter().fold(BigUint::one(), |acc, f| acc.mul_mod(f, n)),
+        let product = |factors: &[BigUint]| match public.mont_ctx() {
+            Some(ctx) => ctx.product_mod(factors),
+            None => factors
+                .iter()
+                .fold(BigUint::one(), |acc, f| acc.mul_mod(f, n)),
         };
-        lhs == rhs
+        let mut partials = par::map_chunks(digests.len(), Split::VERIFY, par::workers(), |r| {
+            let fdhs: Vec<BigUint> = digests[r].iter().map(|d| public.fdh(hasher, d)).collect();
+            product(&fdhs)
+        });
+        let rhs = if partials.len() == 1 {
+            partials.pop().unwrap_or_else(BigUint::one)
+        } else {
+            product(&partials)
+        };
+        public.pow_mod_n(&self.value, public.exponent()) == rhs
     }
 
     /// Number of component signatures.
@@ -191,6 +207,31 @@ mod tests {
         assert_eq!(bytes.len(), key().public().signature_len());
         let back = AggregateSignature::from_bytes(&bytes, 2);
         assert!(back.verify(&h, key().public(), &ds));
+    }
+
+    #[test]
+    fn long_aggregate_is_checked_across_chunks() {
+        // Above the split point the FDH product is computed chunk by chunk:
+        // the whole multiset still has to match, wherever the change sits.
+        let h = Hasher::default();
+        let msgs: Vec<Vec<u8>> = (0..Split::VERIFY.at as u32 + 40)
+            .map(|i| i.to_le_bytes().to_vec())
+            .collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let (mut ds, sigs) = digests_and_sigs(&h, &refs);
+        let agg = AggregateSignature::combine(key().public(), &sigs.iter().collect::<Vec<_>>());
+        assert!(agg.verify(&h, key().public(), &ds));
+        for at in [
+            0,
+            Split::VERIFY.chunk - 1,
+            Split::VERIFY.chunk,
+            ds.len() - 1,
+        ] {
+            let honest = ds[at];
+            ds[at] = h.hash(HashDomain::Data, b"forged");
+            assert!(!agg.verify(&h, key().public(), &ds), "digest {at} replaced");
+            ds[at] = honest;
+        }
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! (`C_hash` per op). A relaxed global counter lets benches report exact
 //! operation counts that can be compared with formulas (4)/(5) independently
 //! of hardware speed; a per-thread twin ([`thread_hash_ops`]) attributes
-//! them to the thread that hashed, for callers that share the process with
-//! other hashing threads. Bulk calls count once for the whole call.
+//! them to the thread that hashed — or, for work fanned out by
+//! [`crate::par`], to the thread that asked for it — for callers that share
+//! the process with other hashing threads. Bulk calls count once for the
+//! whole call.
 //!
 //! # One block, two lanes
 //!
@@ -88,8 +90,9 @@ pub fn reset_hash_ops() -> u64 {
 }
 
 /// Number of hash-function applications performed **by the calling thread**
-/// since it started. Monotone; sample it before and after a piece of work to
-/// count that work alone, whatever other threads hash meanwhile.
+/// since it started, including those [`crate::par`] helpers performed on its
+/// behalf. Monotone; sample it before and after a piece of work to count
+/// that work alone, whatever other threads hash meanwhile.
 pub fn thread_hash_ops() -> u64 {
     THREAD_HASH_OPS.with(Cell::get)
 }
@@ -98,6 +101,14 @@ pub fn thread_hash_ops() -> u64 {
 #[inline]
 pub(crate) fn count_ops(n: u64) {
     HASH_OPS.fetch_add(n, Ordering::Relaxed);
+    credit_thread_ops(n);
+}
+
+/// Adds `n` to the calling thread's counter only: how [`crate::par`] hands a
+/// helper thread's hashes, already on the global counter, to the thread
+/// that asked for the work.
+#[inline]
+pub(crate) fn credit_thread_ops(n: u64) {
     THREAD_HASH_OPS.with(|ops| ops.set(ops.get() + n));
 }
 

@@ -35,6 +35,7 @@ pub mod digest;
 pub mod hasher;
 pub mod merkle;
 pub mod montgomery;
+pub mod par;
 pub mod sha256;
 
 pub use aggregate::AggregateSignature;

@@ -607,7 +607,8 @@ pub fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError
             if n > 1 << 16 {
                 return Err(WireError("too many batch items").into());
             }
-            let mut items = Vec::with_capacity(n);
+            // A table id and a query blob.
+            let mut items = r.vec_for(n, 4 + wire::MIN_BYTES_LEN);
             for _ in 0..n {
                 let table_id = r.u32()?;
                 let query = wire::decode_query(r.bytes()?)?;
@@ -620,7 +621,8 @@ pub fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError
             if n > 1 << 16 {
                 return Err(WireError("too many batch items").into());
             }
-            let mut items = Vec::with_capacity(n);
+            // A tag, then an error code and a message at the least.
+            let mut items = r.vec_for(n, 2 + wire::MIN_BYTES_LEN);
             for _ in 0..n {
                 items.push(match r.u8()? {
                     0 => BatchItem::Ok {
@@ -698,7 +700,8 @@ pub fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError
             if n > 1 << 16 {
                 return Err(WireError("too many delta pieces").into());
             }
-            let mut pieces = Vec::with_capacity(n);
+            // Two key bounds, a result blob and a VO blob.
+            let mut pieces = r.vec_for(n, 8 + 8 + 2 * wire::MIN_BYTES_LEN);
             for _ in 0..n {
                 pieces.push(DeltaPiece {
                     lo: r.i64()?,

@@ -43,7 +43,7 @@
 use crate::crc32::crc32_multi;
 use crate::StoreError;
 use adp_core::prelude::Mutation;
-use adp_core::wire::{Reader, Writer};
+use adp_core::wire::{Reader, Writer, MIN_BYTES_LEN, MIN_VALUE_LEN};
 use adp_crypto::Signature;
 use adp_relation::Record;
 
@@ -122,7 +122,7 @@ fn read_record_values(r: &mut Reader) -> Result<Record, StoreError> {
             context: "log record arity too large",
         });
     }
-    let mut values = Vec::with_capacity(arity);
+    let mut values = r.vec_for(arity, MIN_VALUE_LEN);
     for _ in 0..arity {
         values.push(r.value()?);
     }
@@ -173,7 +173,8 @@ fn decode_payload(payload: &[u8]) -> Result<LogRecord, StoreError> {
             context: "log record has too many ops",
         });
     }
-    let mut ops = Vec::with_capacity(n_ops);
+    // A tag and, at the least, an insert's empty record.
+    let mut ops = r.vec_for(n_ops, 1 + 4);
     for _ in 0..n_ops {
         ops.push(match r.u8()? {
             0 => Mutation::Insert(read_record_values(&mut r)?),
@@ -199,7 +200,8 @@ fn decode_payload(payload: &[u8]) -> Result<LogRecord, StoreError> {
             context: "log record has too many signatures",
         });
     }
-    let mut resigned = Vec::with_capacity(n_sigs);
+    // A chain position and a signature blob.
+    let mut resigned = r.vec_for(n_sigs, 4 + MIN_BYTES_LEN);
     for _ in 0..n_sigs {
         let pos = r.u32()?;
         resigned.push((pos, Signature::from_bytes(r.bytes()?)));
