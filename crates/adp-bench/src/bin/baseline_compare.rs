@@ -15,9 +15,8 @@
 //!     -- --out P --doc P --label L # path/label overrides
 //! ```
 //!
-//! `ADP_PERF_SAMPLES` bounds timing samples exactly as in
-//! `perf_trajectory`; `--check` takes no timings at all, so it is fast
-//! and machine-independent.
+//! `ADP_PERF_SAMPLES` bounds timing samples (default 25); `--check` takes
+//! no timings at all, so it is fast and machine-independent.
 
 use adp_bench::compare;
 

@@ -1,7 +1,7 @@
 //! Chaos drills: verified queries through a deterministic fault proxy.
 //!
-//! The load harness ([`crate::load`]) measures throughput on a healthy
-//! link; this module measures **soundness under a hostile one**. A
+//! The `adpbench` benchmark measures throughput on a healthy link; this
+//! module measures **soundness under a hostile one**. A
 //! seeded [`FaultPlan`] drives a [`FaultProxy`] that drops, delays,
 //! duplicates, and cuts bytes between a verifying client and the
 //! server, and the drill counts what the client did about it: answers

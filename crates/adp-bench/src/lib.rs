@@ -13,7 +13,10 @@
 //! | `sec63_updates` | Section 6.3 update locality vs Merkle trees |
 //! | `ablation_chain` | Section 5.1 motivation: conceptual vs optimized chains |
 //! | `baseline_compare` | Section 2.3 / 6.1 comparison vs \[10\], \[13\], \[20\] |
-//! | `vo_micro` | Criterion micro-benchmarks (crypto unit costs: `adpbench --trace 1`) |
+//! | `owner_scaling` | Section 6.3 owner costs: signing throughput vs table size |
+//!
+//! Per-layer unit costs (hashing, RSA, VO assembly, verification) are
+//! measured by the `adpbench` end-to-end benchmark's `--trace 1` probes.
 
 use adp_core::prelude::*;
 use adp_relation::{Column, Record, Schema, Table, Value, ValueType};
@@ -23,7 +26,6 @@ use std::time::{Duration, Instant};
 
 pub mod chaos;
 pub mod compare;
-pub mod load;
 
 /// Key distributions for generated tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,7 +164,8 @@ pub fn bench_owner_small() -> &'static Owner {
 }
 
 /// Timing samples per measurement, from `ADP_PERF_SAMPLES` (default 25;
-/// CI smoke jobs set 2 so harnesses cannot rot without burning minutes).
+/// the CI smoke job sets 2 so the harness cannot rot without burning
+/// minutes).
 pub fn perf_samples() -> usize {
     std::env::var("ADP_PERF_SAMPLES")
         .ok()
@@ -173,7 +176,7 @@ pub fn perf_samples() -> usize {
 
 /// Median wall time of one call to `f` in nanoseconds, calibrated so each
 /// sample spans ~2 ms (cheap routines are batched; expensive ones run
-/// once per sample). The same estimator `perf_trajectory` uses.
+/// once per sample). `compare` times its `timing` cells with it.
 pub fn measure_ns<T>(n_samples: usize, mut f: impl FnMut() -> T) -> f64 {
     let start = Instant::now();
     std::hint::black_box(f());
@@ -189,13 +192,6 @@ pub fn measure_ns<T>(n_samples: usize, mut f: impl FnMut() -> T) -> f64 {
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     times[times.len() / 2]
-}
-
-/// Times a closure, returning (result, elapsed).
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
 }
 
 /// Times a closure averaged over `iters` runs (after one warmup).

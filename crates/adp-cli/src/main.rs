@@ -99,12 +99,6 @@ fn main() -> ExitCode {
         Some("ingest") => cmd_ingest(&parse_flags(&args[1..])).map_err(CliError::from),
         Some("compact") => cmd_compact(&parse_flags(&args[1..])).map_err(CliError::from),
         Some("compare") => cmd_compare(&args[1..]).map_err(CliError::from),
-        Some("load") => cmd_load(&parse_flags(&args[1..])).map_err(CliError::from),
-        // Hidden helper mode `adp load` re-execs itself in when the fd
-        // limit cannot hold both ends of every idle connection at once.
-        Some("--flood") => {
-            adp_bench::load::flood_main(&args[1..]).map_err(|e| CliError::Other(e.to_string()))
-        }
         Some("help") | None => {
             print_usage();
             Ok(())
@@ -144,15 +138,12 @@ fn print_usage() {
          adp ingest  --store DIR [--csv FILE] [--delete K[:R],...] [--seed N] [--bits N]\n\
          adp compact --store DIR\n\
          adp compare [--tiny] [--check] [--write-doc] [--out FILE] [--doc FILE]\n\
-         adp load    [--idle-conns N] [--rate N] [--duration-secs N] [--query-conns N]\n\
-         \x20           [--out FILE] [--label L]\n\
          \n\
+         `--range A..B` is the closed key range [A, B]; A..A asks for one key.\n\
+         `--domain L..U` needs U - L >= 4 (two delimiters and a key).\n\
          `compare` reproduces the paper's scheme comparison (chain vs MHT,\n\
          aggregated signatures, VB-tree) over the shared workload grid and\n\
          keeps docs/EVALUATION.md verifiably in sync (--check).\n\
-         `load` runs the self-contained load harness (docs/PERFORMANCE.md):\n\
-         an in-process server holding an idle connection fleet while an\n\
-         open-loop query storm measures p50/p90/p99 latency.\n\
          `--store DIR` is the durable format (docs/STORAGE.md): a snapshot\n\
          plus an append-only update log. `ingest` applies a signed batch of\n\
          inserts/deletes with O(k) re-signing (regenerate the owner keypair\n\
@@ -199,25 +190,78 @@ fn need<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing --{key}"))
 }
 
-fn parse_range_pair(s: &str) -> Result<(i64, i64), String> {
+/// The two bounds of a `--{key} A..B` flag, unchecked.
+fn bounds_flag(flags: &Flags, key: &str) -> Result<(i64, i64), String> {
+    let s = need(flags, key)?;
     let (a, b) = s
         .split_once("..")
-        .ok_or_else(|| format!("expected L..U, got '{s}'"))?;
+        .ok_or_else(|| format!("--{key}: expected A..B, got '{s}'"))?;
     let a: i64 = a.trim().parse().map_err(|_| format!("bad bound '{a}'"))?;
     let b: i64 = b.trim().parse().map_err(|_| format!("bad bound '{b}'"))?;
-    if a >= b {
-        return Err(format!("empty interval {a}..{b}"));
-    }
     Ok((a, b))
 }
 
-fn parse_projection(flags: &Flags) -> Projection {
-    match flags.get("project") {
+/// `--domain L..U` as a [`Domain`]: room for both delimiters and at least
+/// one key (`U - L >= 4`), checked here so `Domain::new` cannot panic.
+fn domain_from_flags(flags: &Flags) -> Result<Domain, String> {
+    let (l, u) = bounds_flag(flags, "domain")?;
+    if (u as i128 - l as i128) < 4 {
+        return Err(format!(
+            "--domain {l}..{u} is too narrow: a domain needs U - L >= 4 \
+             (two delimiters and at least one key)"
+        ));
+    }
+    Ok(Domain::new(l, u))
+}
+
+/// `--range A..B` as the closed key range `[A, B]`; `A..A` is the one key A.
+fn range_from_flags(flags: &Flags) -> Result<KeyRange, String> {
+    let (a, b) = bounds_flag(flags, "range")?;
+    if a > b {
+        return Err(format!("empty interval {a}..{b}"));
+    }
+    Ok(KeyRange::closed(a, b))
+}
+
+/// The select query `query`, `verify` and `rquery` share: `--range` plus
+/// the optional `--project c1,c2`.
+fn select_from_flags(flags: &Flags) -> Result<SelectQuery, String> {
+    let projection = match flags.get("project") {
         Some(cols) if !cols.is_empty() => {
             Projection::Columns(cols.split(',').map(|c| c.trim().to_string()).collect())
         }
         _ => Projection::All,
+    };
+    Ok(SelectQuery {
+        range: range_from_flags(flags)?,
+        filters: Vec::new(),
+        projection,
+        distinct: false,
+    })
+}
+
+/// The owner keypair regenerated from `--seed` (default `0xCAFE`) and
+/// `--bits` (default `default_bits`): the same flags give the same key.
+/// The modulus size is checked here so keygen's asserts cannot panic.
+fn owner_from_flags(flags: &Flags, default_bits: usize) -> Result<Owner, String> {
+    let seed: u64 = flags.get("seed").map_or(Ok(0xCAFE), |s| {
+        s.parse().map_err(|_| "bad --seed".to_string())
+    })?;
+    let bits: usize = flags.get("bits").map_or(Ok(default_bits), |s| {
+        s.parse().map_err(|_| "bad --bits".to_string())
+    })?;
+    if bits < 128 || !bits.is_multiple_of(2) {
+        return Err(format!(
+            "--bits {bits}: the RSA modulus needs an even bit count >= 128"
+        ));
     }
+    Ok(Owner::new(bits, &mut StdRng::seed_from_u64(seed)))
+}
+
+/// Reads and decodes a `certificate.bin`.
+fn read_certificate(path: &Path) -> Result<Certificate, String> {
+    let bytes = fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    wire::decode_certificate(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 // ---------------------------------------------------------------- publish
@@ -225,22 +269,15 @@ fn parse_projection(flags: &Flags) -> Projection {
 fn cmd_publish(flags: &Flags) -> Result<(), String> {
     let csv_path = need(flags, "csv")?;
     let key_col = need(flags, "key")?;
-    let (l, u) = parse_range_pair(need(flags, "domain")?)?;
+    let domain = domain_from_flags(flags)?;
     let out = PathBuf::from(need(flags, "out")?);
-    let seed: u64 = flags.get("seed").map_or(Ok(0xCAFE), |s| {
-        s.parse().map_err(|_| "bad --seed".to_string())
-    })?;
-    let bits: usize = flags.get("bits").map_or(Ok(1024), |s| {
-        s.parse().map_err(|_| "bad --bits".to_string())
-    })?;
 
     let (table, csv_text) = load_csv_table(Path::new(csv_path), key_col)?;
     let rows = table.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let owner = Owner::new(bits, &mut rng);
+    let owner = owner_from_flags(flags, 1024)?;
     let start = std::time::Instant::now();
     let signed = owner
-        .sign_table(table, Domain::new(l, u), SchemeConfig::default())
+        .sign_table(table, domain, SchemeConfig::default())
         .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     let cert = owner.certificate(&signed);
@@ -341,8 +378,7 @@ fn load_csv_table(path: &Path, key_col: &str) -> Result<(Table, String), String>
 /// `certificate.bin`) back into a [`SignedTable`], refusing to serve data
 /// that fails the signature audit.
 fn load_published(dir: &Path) -> Result<SignedTable, String> {
-    let cert_bytes = fs::read(dir.join("certificate.bin")).map_err(|e| e.to_string())?;
-    let cert = wire::decode_certificate(&cert_bytes).map_err(|e| e.to_string())?;
+    let cert = read_certificate(&dir.join("certificate.bin"))?;
     let sig_bytes = fs::read(dir.join("signatures.bin")).map_err(|e| e.to_string())?;
     let sigs = wire::decode_signatures(&sig_bytes).map_err(|e| e.to_string())?;
     let (table, _) = load_csv_table(&dir.join("table.csv"), cert.schema.key_name())?;
@@ -400,17 +436,10 @@ fn load_signed_source(flags: &Flags) -> Result<SignedTable, String> {
 }
 
 fn cmd_query(flags: &Flags) -> Result<(), String> {
-    let (a, b) = parse_range_pair(need(flags, "range")?)?;
+    let query = select_from_flags(flags)?;
     let out = PathBuf::from(need(flags, "out")?);
-    let projection = parse_projection(flags);
     let signed = load_signed_source(flags)?;
 
-    let query = SelectQuery {
-        range: KeyRange::closed(a, b),
-        filters: Vec::new(),
-        projection,
-        distinct: false,
-    };
     let (result, vo) = Publisher::new(&signed)
         .answer_select(&query)
         .map_err(|e| e.to_string())?;
@@ -418,7 +447,8 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     let vo_bytes = wire::encode_vo(&vo);
     write_answer_dir(&out, &result, &result_bytes, &vo_bytes)?;
     println!(
-        "answered [{a}, {b}]: {} rows, {} result bytes + {} VO bytes → {}",
+        "answered {}: {} rows, {} result bytes + {} VO bytes → {}",
+        query.range,
         result.len(),
         result_bytes.len(),
         vo_bytes.len(),
@@ -466,21 +496,14 @@ fn cmd_sql(flags: &Flags) -> Result<(), CliError> {
 
     let csv_path = need(flags, "csv")?;
     let key_col = need(flags, "key")?;
-    let (l, u) = parse_range_pair(need(flags, "domain")?)?;
+    let domain = domain_from_flags(flags)?;
     let sql = need(flags, "query")?.to_string();
-    let seed: u64 = flags.get("seed").map_or(Ok(0xCAFE), |s| {
-        s.parse().map_err(|_| "bad --seed".to_string())
-    })?;
-    let bits: usize = flags
-        .get("bits")
-        .map_or(Ok(512), |s| s.parse().map_err(|_| "bad --bits".to_string()))?;
 
     let (table, _) = load_csv_table(Path::new(csv_path), key_col)?;
     let rows = table.len() as u64;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let owner = Owner::new(bits, &mut rng);
+    let owner = owner_from_flags(flags, 512)?;
     let signed = owner
-        .sign_table(table, Domain::new(l, u), SchemeConfig::default())
+        .sign_table(table, domain, SchemeConfig::default())
         .map_err(|e| e.to_string())?;
     let cert = owner.certificate(&signed);
 
@@ -577,35 +600,32 @@ fn value_to_text(v: &Value) -> String {
 
 // ----------------------------------------------------------------- verify
 
+/// Checks an answer directory offline through the same verify core
+/// (`SessionStats::verify_select`) a remote session runs on socket bytes.
 fn cmd_verify(flags: &Flags) -> Result<(), String> {
-    let cert_path = PathBuf::from(need(flags, "cert")?);
-    let (a, b) = parse_range_pair(need(flags, "range")?)?;
+    let cert_path = need(flags, "cert")?;
+    let query = select_from_flags(flags)?;
     let answer = PathBuf::from(need(flags, "answer")?);
-    let projection = parse_projection(flags);
 
-    let cert_bytes = fs::read(&cert_path).map_err(|e| e.to_string())?;
-    let cert = wire::decode_certificate(&cert_bytes).map_err(|e| e.to_string())?;
+    let cert = read_certificate(Path::new(cert_path))?;
     let result_bytes = fs::read(answer.join("result.bin")).map_err(|e| e.to_string())?;
     let vo_bytes = fs::read(answer.join("vo.bin")).map_err(|e| e.to_string())?;
-    let query = SelectQuery {
-        range: KeyRange::closed(a, b),
-        filters: Vec::new(),
-        projection,
-        distinct: false,
-    };
-    match verify_select_wire(&cert, &query, &result_bytes, &vo_bytes) {
-        Ok((rows, report)) => {
-            println!(
-                "VERIFIED: {} rows are the complete, authentic answer to [{a}, {b}] \
-                 ({} signature(s) checked{})",
-                rows.len(),
-                report.signatures_verified,
-                if report.empty { ", provably empty" } else { "" }
-            );
-            Ok(())
+    let verified = SessionStats::default()
+        .verify_select(&cert, &query, &result_bytes, &vo_bytes)
+        .map_err(|e| format!("REJECTED: {e}"))?;
+    println!(
+        "VERIFIED: {} rows are the complete, authentic answer to {} \
+         ({} signature(s) checked{})",
+        verified.rows.len(),
+        query.range,
+        verified.report.signatures_verified,
+        if verified.report.empty {
+            ", provably empty"
+        } else {
+            ""
         }
-        Err(e) => Err(format!("REJECTED: {e}")),
-    }
+    );
+    Ok(())
 }
 
 // ------------------------------------------------------------------ serve
@@ -730,54 +750,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-// -------------------------------------------------------------- load
-
-/// `adp load` — the PR 6 load harness as a subcommand: a self-contained
-/// server + idle fleet + open-loop query storm in this process, printing
-/// the latency distribution (and optionally the JSON snapshot).
-fn cmd_load(flags: &Flags) -> Result<(), String> {
-    use adp_bench::load::{render_json, run, LoadConfig};
-
-    let mut cfg = LoadConfig {
-        idle_connections: parse_u32_flag(flags, "idle-conns", 10_000)? as usize,
-        query_connections: parse_u32_flag(flags, "query-conns", 8)? as usize,
-        ..LoadConfig::default()
-    };
-    if let Some(rate) = flags.get("rate") {
-        cfg.rate_per_sec = rate.parse().map_err(|_| "bad --rate")?;
-    }
-    if let Some(secs) = flags.get("duration-secs") {
-        cfg.duration =
-            std::time::Duration::from_secs_f64(secs.parse().map_err(|_| "bad --duration-secs")?);
-    }
-
-    let report = run(&cfg).map_err(|e| format!("load run failed: {e}"))?;
-    let o = &report.open_loop;
-    println!(
-        "idle fleet : {} connections held ({} requested), {} reactor wakeups over {:?}, \
-         {} process threads",
-        report.idle_held,
-        report.idle_target,
-        report.steady_wakeups,
-        report.steady_window,
-        report.threads,
-    );
-    println!(
-        "open loop  : {:.0} rps offered, {:.0} achieved ({} ok / {} err)",
-        o.offered_rps, o.achieved_rps, o.completed, o.errors
-    );
-    println!(
-        "latency    : p50 {} us | p90 {} us | p99 {} us | max {} us",
-        o.p50_us, o.p90_us, o.p99_us, o.max_us
-    );
-    if let Some(out) = flags.get("out") {
-        let label = flags.get("label").map(String::as_str).unwrap_or("adp-load");
-        std::fs::write(out, render_json(&report, label)).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
-    }
-    Ok(())
-}
-
 // ------------------------------------------------------------ ingest
 
 /// Parses CSV rows against an existing schema (ingest cannot re-infer
@@ -878,16 +850,9 @@ fn parse_deletes(spec: &str) -> Result<Vec<adp_core::owner::Mutation>, String> {
 
 fn cmd_ingest(flags: &Flags) -> Result<(), String> {
     let store_dir = need(flags, "store")?;
-    let seed: u64 = flags.get("seed").map_or(Ok(0xCAFE), |s| {
-        s.parse().map_err(|_| "bad --seed".to_string())
-    })?;
-    let bits: usize = flags.get("bits").map_or(Ok(1024), |s| {
-        s.parse().map_err(|_| "bad --bits".to_string())
-    })?;
 
     let mut store = adp_store::Store::open(store_dir).map_err(|e| e.to_string())?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let owner = Owner::new(bits, &mut rng);
+    let owner = owner_from_flags(flags, 1024)?;
     if owner.public_key() != store.table().public_key() {
         return Err(
             "the regenerated keypair does not match the store's owner key — \
@@ -955,28 +920,21 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 
 fn cmd_rquery(flags: &Flags) -> Result<(), String> {
     let addr = need(flags, "addr")?;
-    let cert_path = PathBuf::from(need(flags, "cert")?);
-    let (a, b) = parse_range_pair(need(flags, "range")?)?;
+    let cert_path = need(flags, "cert")?;
+    let query = select_from_flags(flags)?;
     let table_id = parse_u32_flag(flags, "table", 0)?;
-    let projection = parse_projection(flags);
 
-    let cert_bytes = fs::read(&cert_path).map_err(|e| e.to_string())?;
-    let cert = wire::decode_certificate(&cert_bytes).map_err(|e| e.to_string())?;
-    let query = SelectQuery {
-        range: KeyRange::closed(a, b),
-        filters: Vec::new(),
-        projection,
-        distinct: false,
-    };
+    let cert = read_certificate(Path::new(cert_path))?;
     let mut user = adp_server::RemoteVerifier::connect(addr, cert, table_id)
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
     let (verified, result_bytes, vo_bytes) = user
         .select_with_bytes(&query)
         .map_err(|e| format!("REJECTED: {e}"))?;
     println!(
-        "VERIFIED: {} rows are the complete, authentic answer to [{a}, {b}] \
+        "VERIFIED: {} rows are the complete, authentic answer to {} \
          ({} signature(s) checked, {} result bytes + {} VO bytes over the wire)",
         verified.rows.len(),
+        query.range,
         verified.report.signatures_verified,
         verified.result_bytes,
         verified.vo_bytes,
@@ -1009,7 +967,7 @@ fn cmd_follow(flags: &Flags) -> Result<(), CliError> {
     use adp_server::{FollowError, FollowEvent, ResilientFollower};
 
     let addr = need(flags, "addr")?;
-    let cert_path = PathBuf::from(need(flags, "cert")?);
+    let cert_path = need(flags, "cert")?;
     let store_dir = PathBuf::from(need(flags, "store")?);
     let table_id = parse_u32_flag(flags, "table", 0)?;
     let serve_addr = flags
@@ -1019,8 +977,7 @@ fn cmd_follow(flags: &Flags) -> Result<(), CliError> {
     let retry = parse_retry_policy(flags)?;
     let budget = retry.max_retries;
 
-    let cert_bytes = fs::read(&cert_path).map_err(|e| e.to_string())?;
-    let cert = wire::decode_certificate(&cert_bytes).map_err(|e| e.to_string())?;
+    let cert = read_certificate(Path::new(cert_path))?;
 
     let classify = |e: FollowError| -> CliError {
         if e.is_retryable() {
@@ -1119,8 +1076,8 @@ fn cmd_follow(flags: &Flags) -> Result<(), CliError> {
 /// what the mirror already verified.
 fn cmd_subscribe(flags: &Flags) -> Result<(), CliError> {
     let addr = need(flags, "addr")?;
-    let cert_path = PathBuf::from(need(flags, "cert")?);
-    let (a, b) = parse_range_pair(need(flags, "range")?)?;
+    let cert_path = need(flags, "cert")?;
+    let range = range_from_flags(flags)?;
     let table_id = parse_u32_flag(flags, "table", 0)?;
     let sub_id = parse_u32_flag(flags, "sub", 1)?;
     let retry = parse_retry_policy(flags)?;
@@ -1130,19 +1087,13 @@ fn cmd_subscribe(flags: &Flags) -> Result<(), CliError> {
         .map(|s| s.parse::<u64>().map_err(|_| format!("bad --deltas '{s}'")))
         .transpose()?;
 
-    let cert_bytes = fs::read(&cert_path).map_err(|e| e.to_string())?;
-    let cert = wire::decode_certificate(&cert_bytes).map_err(|e| e.to_string())?;
+    let cert = read_certificate(Path::new(cert_path))?;
     let mut sub = adp_server::RemoteSubscriber::subscribe_with_retry(
-        addr,
-        cert,
-        table_id,
-        sub_id,
-        KeyRange::closed(a, b),
-        retry,
+        addr, cert, table_id, sub_id, range, retry,
     )
     .map_err(|e| classify_remote(e, "subscribe"))?;
     println!(
-        "SUBSCRIBED: [{a}, {b}] on table {table_id} — {} verified rows at epoch {} \
+        "SUBSCRIBED: {range} on table {table_id} — {} verified rows at epoch {} \
          ({} signature(s) checked)",
         sub.rows().count(),
         sub.epoch(),

@@ -429,3 +429,107 @@ fn bad_flags_reported() {
     let out = adp(&["frobnicate"], &dir);
     assert!(!out.status.success());
 }
+
+/// Asserts a clean refusal: exit code 1, `needle` on stderr, no panic.
+fn assert_clean_error(out: &Output, needle: &str, ctx: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{ctx}: {stderr}");
+    assert!(stderr.contains(needle), "{ctx}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{ctx}: {stderr}");
+}
+
+#[test]
+fn degenerate_domain_and_bits_fail_cleanly() {
+    let dir = workdir("narrow");
+    sample_csv(&dir);
+    let out = adp(
+        &[
+            "publish", "--csv", "emp.csv", "--key", "salary", "--domain", "0..3", "--out", "p",
+        ],
+        &dir,
+    );
+    assert_clean_error(&out, "--domain 0..3", "publish with a width-3 domain");
+    let out = adp(
+        &[
+            "sql",
+            "--csv",
+            "emp.csv",
+            "--key",
+            "salary",
+            "--domain",
+            "0..2",
+            "--query",
+            "SELECT * FROM emp",
+        ],
+        &dir,
+    );
+    assert_clean_error(&out, "--domain 0..2", "sql with a width-2 domain");
+    for bits in ["64", "511"] {
+        let out = adp(
+            &[
+                "publish",
+                "--csv",
+                "emp.csv",
+                "--key",
+                "salary",
+                "--domain",
+                "0..100000",
+                "--out",
+                "p",
+                "--bits",
+                bits,
+            ],
+            &dir,
+        );
+        assert_clean_error(
+            &out,
+            &format!("--bits {bits}"),
+            "publish with a bad modulus",
+        );
+    }
+}
+
+/// Queries and verifies the one-key range `key..key`, returning verify's
+/// stdout.
+fn query_verify_one_key(dir: &Path, key: &str) -> String {
+    let range = format!("{key}..{key}");
+    let ans = format!("ans-{key}");
+    let out = adp(
+        &["query", "--dir", "pub", "--range", &range, "--out", &ans],
+        dir,
+    );
+    assert_ok(&out, "one-key query");
+    let out = adp(
+        &[
+            "verify",
+            "--cert",
+            "pub/certificate.bin",
+            "--range",
+            &range,
+            "--answer",
+            &ans,
+        ],
+        dir,
+    );
+    assert_ok(&out, "one-key verify");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn one_key_range_round_trips() {
+    let dir = workdir("one-key");
+    sample_csv(&dir);
+    publish(&dir);
+    let hit = query_verify_one_key(&dir, "8010");
+    assert!(hit.contains("VERIFIED: 1 rows"), "{hit}");
+    assert!(!hit.contains("provably empty"), "{hit}");
+    let miss = query_verify_one_key(&dir, "8011");
+    assert!(miss.contains("VERIFIED: 0 rows"), "{miss}");
+    assert!(miss.contains("provably empty"), "{miss}");
+    // A reversed range is still refused.
+    let out = adp(
+        &["query", "--dir", "pub", "--range", "9..8", "--out", "ans"],
+        &dir,
+    );
+    assert_clean_error(&out, "empty interval", "reversed range");
+}

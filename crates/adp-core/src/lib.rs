@@ -59,7 +59,6 @@
 
 pub mod client;
 pub mod costmodel;
-pub mod dagext;
 pub mod delta;
 pub mod domain;
 pub mod errors;

@@ -69,6 +69,9 @@
 //! handle.shutdown();
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod cache;
 pub mod client;
 pub mod follow;

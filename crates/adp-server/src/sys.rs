@@ -1,13 +1,13 @@
-//! Thin `std`-only bindings to the few Linux syscalls the readiness loop
-//! needs: `epoll_create1` / `epoll_ctl` / `epoll_pwait`, plus `prlimit64`
-//! so the load harness can raise the open-file limit before holding tens
-//! of thousands of sockets.
+//! Thin `std`-only bindings to the few Linux syscalls the server needs:
+//! `epoll_create1` / `epoll_ctl` / `epoll_pwait` for the readiness loop,
+//! and `rt_sigprocmask` / `signalfd4` so `adp serve` can turn SIGINT and
+//! SIGTERM into a drain.
 //!
-//! This build environment has no `libc` crate (offline, shims only), so
-//! the syscalls are issued directly with inline assembly. Only Linux on
-//! x86_64 and aarch64 is supported — the reactor is epoll-shaped through
-//! and through, and a poll/kqueue port would be a separate backend, not a
-//! cfg twiddle.
+//! The build has no `libc` crate (offline, shims only), so the syscalls
+//! are issued directly with inline assembly. Only Linux on x86_64 and
+//! aarch64 is supported — the reactor is epoll-shaped through and
+//! through, and a poll/kqueue port would be a separate backend, not a cfg
+//! twiddle.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -25,7 +25,6 @@ mod nr {
     pub const EPOLL_PWAIT: u64 = 281;
     pub const SIGNALFD4: u64 = 289;
     pub const EPOLL_CREATE1: u64 = 291;
-    pub const PRLIMIT64: u64 = 302;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -35,7 +34,6 @@ mod nr {
     pub const EPOLL_CREATE1: u64 = 20;
     pub const SIGNALFD4: u64 = 74;
     pub const RT_SIGPROCMASK: u64 = 135;
-    pub const PRLIMIT64: u64 = 261;
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -50,6 +48,12 @@ compile_error!("no syscall numbers wired up for this architecture");
 #[cfg(target_arch = "x86_64")]
 unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> i64 {
     let ret: i64;
+    // SAFETY: the x86_64 Linux syscall ABI: number in rax, arguments in
+    // rdi/rsi/rdx/r10/r8/r9, result in rax; the `syscall` instruction
+    // clobbers rcx and r11, declared as outputs. It touches no stack, so
+    // `nostack` holds; without `nomem` the compiler assumes the kernel
+    // reads and writes memory. That memory is named by pointer arguments
+    // the caller vouched for under this function's contract.
     unsafe {
         std::arch::asm!(
             "syscall",
@@ -75,6 +79,12 @@ unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64
 #[cfg(target_arch = "aarch64")]
 unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> i64 {
     let ret: i64;
+    // SAFETY: the aarch64 Linux syscall ABI: number in x8, arguments in
+    // x0-x5, result in x0; `svc 0` clobbers no other general register and
+    // touches no stack, so `nostack` holds; without `nomem` the compiler
+    // assumes the kernel reads and writes memory. That memory is named by
+    // pointer arguments the caller vouched for under this function's
+    // contract.
     unsafe {
         std::arch::asm!(
             "svc 0",
@@ -151,8 +161,12 @@ pub struct Epoll {
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: epoll_create1 takes only a flags word; no pointer, so
+        // the kernel reads or writes no memory of ours.
         let fd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
         Ok(Epoll {
+            // SAFETY: `check` passed, so `fd` is a new descriptor the kernel
+            // just opened for this call; nothing else owns it.
             fd: unsafe { OwnedFd::from_raw_fd(fd as RawFd) },
         })
     }
@@ -167,6 +181,10 @@ impl Epoll {
         } else {
             &mut ev as *mut EpollEvent
         };
+        // SAFETY: for ADD/MOD the kernel reads one `EpollEvent` through
+        // `ptr`, which points at the live local `ev` (its layout is the
+        // kernel's `struct epoll_event`); for DEL it ignores the null
+        // pointer. The kernel keeps no reference past the call.
         check(unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -205,6 +223,10 @@ impl Epoll {
         loop {
             // epoll_pwait with a null sigmask == epoll_wait; aarch64 has
             // no plain epoll_wait syscall, so use pwait on both arches.
+            // SAFETY: the kernel writes at most `events.len()` `EpollEvent`s
+            // starting at `events.as_mut_ptr()`, which is exactly the
+            // exclusively borrowed slice; the sigmask pointer is null, so
+            // it reads nothing else.
             let ret = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
@@ -223,66 +245,6 @@ impl Epoll {
             }
         }
     }
-}
-
-const RLIMIT_NOFILE: u64 = 7;
-
-#[repr(C)]
-struct RLimit64 {
-    cur: u64,
-    max: u64,
-}
-
-/// Returns the current `(soft, hard)` open-file limit.
-pub fn nofile_limit() -> io::Result<(u64, u64)> {
-    let mut lim = RLimit64 { cur: 0, max: 0 };
-    check(unsafe {
-        syscall6(
-            nr::PRLIMIT64,
-            0, // pid 0: this process
-            RLIMIT_NOFILE,
-            0, // new_limit: NULL
-            &mut lim as *mut RLimit64 as u64,
-            0,
-            0,
-        )
-    })?;
-    Ok((lim.cur, lim.max))
-}
-
-/// Raises the open-file soft limit to at least `want` fds (raising the
-/// hard limit too when the process is privileged enough), returning the
-/// soft limit actually in effect. Never lowers anything.
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let (soft, hard) = nofile_limit()?;
-    if soft >= want {
-        return Ok(soft);
-    }
-    let set = |cur: u64, max: u64| -> io::Result<()> {
-        let new = RLimit64 { cur, max };
-        check(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0,
-                RLIMIT_NOFILE,
-                &new as *const RLimit64 as u64,
-                0, // old_limit: NULL
-                0,
-                0,
-            )
-        })
-        .map(|_| ())
-    };
-    if want > hard {
-        // Needs privilege; fall back to the hard limit if refused.
-        if set(want, want).is_ok() {
-            return Ok(want);
-        }
-        set(hard, hard)?;
-        return Ok(hard);
-    }
-    set(want, hard)?;
-    Ok(want)
 }
 
 /// `SIGINT` (Ctrl-C).
@@ -316,6 +278,9 @@ impl SignalFd {
             assert!((1..=64).contains(&sig), "bad signal number {sig}");
             mask |= 1u64 << (sig - 1);
         }
+        // SAFETY: the kernel reads 8 bytes (sigsetsize) of new mask through
+        // `&mask`, a live local `u64`; the old-set pointer is null, so it
+        // writes nothing.
         check(unsafe {
             syscall6(
                 nr::RT_SIGPROCMASK,
@@ -327,6 +292,9 @@ impl SignalFd {
                 0,
             )
         })?;
+        // SAFETY: the kernel reads 8 bytes (sigsetsize) of mask through
+        // `&mask`, a live local `u64`, and copies it; fd -1 asks for a new
+        // descriptor, so no existing one is touched.
         let fd = check(unsafe {
             syscall6(
                 nr::SIGNALFD4,
@@ -339,6 +307,8 @@ impl SignalFd {
             )
         })?;
         Ok(SignalFd {
+            // SAFETY: `check` passed, so `fd` is a new descriptor the kernel
+            // just opened for this call; nothing else owns it.
             fd: unsafe { OwnedFd::from_raw_fd(fd as RawFd) },
         })
     }
@@ -405,12 +375,5 @@ mod tests {
         let n = epoll.wait(&mut events, 1000).unwrap();
         assert_eq!(n, 1);
         assert_ne!(events[0].events() & EPOLLOUT, 0);
-    }
-
-    #[test]
-    fn nofile_limit_is_queryable() {
-        let (soft, hard) = nofile_limit().unwrap();
-        assert!(soft > 0);
-        assert!(hard >= soft);
     }
 }

@@ -59,20 +59,33 @@ fn wait_for(handle: &ServerHandle, pred: impl Fn(&adp_server::StatsSnapshot) -> 
     false
 }
 
-/// Satellite 3: idle connections must not wake the reactor. With lazy
-/// timers and level-triggered epoll, a parked connection's only cost is
-/// its heap entry — steady state is *zero* `epoll_wait` returns.
+/// Idle connections must not wake the reactor. With lazy timers and
+/// level-triggered epoll, a parked connection's only cost is its heap
+/// entry — steady state is *zero* `epoll_wait` returns. 200 parked
+/// connections: both ends of each fit under a 1 024-fd soft limit.
 #[test]
 fn idle_connections_cost_zero_wakeups() {
+    const IDLE: u64 = 200;
     let handle = serve(ServerConfig::default());
-    let mut idlers: Vec<TcpStream> = (0..8)
-        .map(|_| TcpStream::connect(handle.addr()).unwrap())
-        .collect();
+    // Connect in chunks the accept backlog can absorb: an overflowed
+    // backlog drops SYNs, and their retransmits take seconds.
+    let mut idlers: Vec<TcpStream> = Vec::new();
+    while (idlers.len() as u64) < IDLE {
+        for _ in 0..50 {
+            idlers.push(TcpStream::connect(handle.addr()).unwrap());
+        }
+        let parked = idlers.len() as u64;
+        assert!(
+            wait_for(&handle, |s| s.open_connections == parked),
+            "{parked} idle connections registered"
+        );
+    }
     let mut client = RemoteClient::connect(handle.addr()).unwrap();
     client.ping().unwrap();
     assert!(
-        wait_for(&handle, |s| s.open_connections == 9),
-        "all 9 connections registered"
+        wait_for(&handle, |s| s.open_connections == IDLE + 1),
+        "all {} connections registered",
+        IDLE + 1
     );
 
     // Let the accept/register churn settle, then measure.
