@@ -1,8 +1,10 @@
 //! Reproduces the paper's evaluation across all four schemes — the
 //! `adp-core` signature chain vs the Devanbu Merkle tree \[10\], the Ma
 //! aggregated-signature scheme \[13\], and the VB-tree \[20\] — over a
-//! shared workload grid, and keeps `docs/EVALUATION.md` provably in sync
-//! with the code. See `adp_bench::compare` for the harness itself.
+//! shared workload grid, plus the paper's own Figures 9–10, Section 5.1
+//! ablation and Sections 6.2–6.3 costs, and keeps `docs/EVALUATION.md`
+//! provably in sync with the code. See `adp_bench::compare` for the
+//! harness itself.
 //!
 //! ```text
 //! cargo run --release -p adp-bench --bin baseline_compare            # full grid,
@@ -12,7 +14,7 @@
 //!     -- --check                   # re-derive every deterministic cell and
 //!                                  #   fail if the committed doc/snapshot drifted
 //!     -- --tiny [--out P]          # seconds-scale smoke grid (CI)
-//!     -- --out P --doc P --label L # path/label overrides
+//!     -- --out P --doc P           # path overrides
 //! ```
 //!
 //! `ADP_PERF_SAMPLES` bounds timing samples (default 25); `--check` takes

@@ -1,15 +1,21 @@
-//! The cross-scheme comparison harness behind the `baseline_compare`
-//! binary and `adp compare`: reproduces the paper's Section 6.1
-//! comparison table and Section 6.3 update-churn experiment across all
-//! four schemes — the `adp-core` signature chain, the Devanbu Merkle
-//! tree, the Ma aggregated-signature scheme, and the VB-tree — over one
-//! shared workload grid (table sizes × range selectivities × projection
-//! shapes), plus a continuous-churn leg that drives `Owner::apply_batch`
-//! through the `adp-store` update log.
+//! The evaluation harness behind the `baseline_compare` binary. It
+//! derives five results groups:
+//!
+//! * one per scheme — the `adp-core` signature chain, the Devanbu Merkle
+//!   tree, the Ma aggregated-signature scheme, and the VB-tree — for the
+//!   paper's Section 6.1 comparison over one shared workload grid (table
+//!   sizes × range selectivities × projection shapes), plus a
+//!   continuous-churn leg (Section 6.3) that drives `Owner::apply_batch`
+//!   through the `adp-store` update log;
+//! * `paper` — the paper's own experiments: Figure 9's VO and result
+//!   bytes, Figure 10's and Section 6.2's verifier hash operations beside
+//!   formula (5), the Section 5.1 ablation's owner and verifier hash
+//!   operations, and Section 6.3's per-update signatures and digests.
 //!
 //! Everything the harness derives that is *not* a wall-clock time — VO
 //! wire bytes, dissemination bytes/signatures, rows shipped, disclosure
-//! counts, per-batch re-signing costs, log bytes — is deterministic:
+//! counts, per-batch re-signing costs, log bytes, hash operations — is
+//! deterministic:
 //! workloads and keys come from fixed seeds, so the cells are identical
 //! on every machine. Those cells are committed twice, as markdown tables
 //! inside `docs/EVALUATION.md` (between `baseline_compare:begin/end`
@@ -19,23 +25,25 @@
 //! Timings (verify latency, publish time, churn throughput) are
 //! machine-local and live only in the snapshot's `timing` objects.
 
-use crate::{bench_owner_small, measure_ns, perf_samples, WorkloadSpec};
+use crate::{bench_owner, bench_owner_small, measure_ns, perf_samples, WorkloadSpec, KEY_GAP};
 use adp_baselines::{MaScheme, MhtScheme, RangeScheme, UpdateCost, VbScheme};
+use adp_core::costmodel::{self, CostParams, FIG10_RESULT_SIZES, FIG9_RESULT_SIZES};
 use adp_core::prelude::*;
+use adp_core::wire;
 use adp_crypto::{Hasher, Keypair};
-use adp_relation::{KeyRange, Record, SelectQuery, Table, Value};
+use adp_relation::{Column, KeyRange, Record, Schema, SelectQuery, Table, Value, ValueType};
 use adp_store::Store;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// VB-tree fanout used throughout the comparison (the value the old
-/// one-shot bench used; a middle ground between VO size and signing cost).
+/// VB-tree fanout used throughout the comparison (a middle ground
+/// between VO size and signing cost).
 const VB_FANOUT: usize = 64;
 
-/// Spaced-key gap of the generated workloads (`WorkloadSpec` default).
-const KEY_GAP: i64 = 10;
+/// The snapshot's `label`.
+const LABEL: &str = "pr5";
 
 /// Begin marker of the generated region in `docs/EVALUATION.md`.
 pub const DOC_BEGIN: &str = "<!-- baseline_compare:begin";
@@ -64,6 +72,8 @@ pub struct Grid {
     pub churn_batch: usize,
     /// …and batches applied.
     pub churn_batches: usize,
+    /// The sweeps of the `paper` group.
+    pub paper: PaperGrid,
 }
 
 impl Grid {
@@ -78,6 +88,7 @@ impl Grid {
             churn_rows: 2_000,
             churn_batch: 16,
             churn_batches: 32,
+            paper: PaperGrid::full(),
         }
     }
 
@@ -92,6 +103,7 @@ impl Grid {
             churn_rows: 200,
             churn_batch: 8,
             churn_batches: 4,
+            paper: PaperGrid::tiny(),
         }
     }
 
@@ -106,6 +118,79 @@ impl Grid {
             .copied()
             .filter(|q| q + 2 <= n)
             .collect()
+    }
+}
+
+/// The points each of the paper's own experiments sweeps.
+#[derive(Clone, Debug)]
+pub struct PaperGrid {
+    /// Figure 9: record sizes `M_r` in bytes…
+    pub fig9_record_bytes: &'static [usize],
+    /// …and result sizes `|Q|`.
+    pub fig9_result_sizes: &'static [u64],
+    /// Figure 10: number bases `B`…
+    pub fig10_bases: &'static [u32],
+    /// …and result sizes.
+    pub fig10_result_sizes: &'static [u64],
+    /// Section 6.2: result sizes at `B = 2`, `m = 32`.
+    pub sec62_result_sizes: &'static [u64],
+    /// Section 5.1 ablation: domain widths (powers of two) of the
+    /// conceptual single chains…
+    pub conceptual_widths: &'static [u32],
+    /// …the bases of the digit chains…
+    pub ablation_bases: &'static [u32],
+    /// …and their domain widths.
+    pub ablation_widths: &'static [u32],
+    /// Section 6.3: table sizes of the one-update experiment.
+    pub sec63_rows: &'static [usize],
+}
+
+impl PaperGrid {
+    /// The paper's points.
+    fn full() -> Self {
+        PaperGrid {
+            fig9_record_bytes: &[64, 256, 512, 1024, 2048],
+            fig9_result_sizes: &FIG9_RESULT_SIZES,
+            fig10_bases: &[2, 3, 4, 6, 8, 10],
+            fig10_result_sizes: &FIG10_RESULT_SIZES,
+            sec62_result_sizes: &[1, 100, 1_000],
+            conceptual_widths: &[8, 12, 16, 20],
+            ablation_bases: &[2, 3, 10],
+            ablation_widths: &[8, 16, 32],
+            sec63_rows: &[1_000, 10_000],
+        }
+    }
+
+    /// Each sweep at its smallest point only, so the `--tiny` smoke run
+    /// and the unit tests stay fast in debug builds.
+    fn tiny() -> Self {
+        let full = Self::full();
+        PaperGrid {
+            fig9_record_bytes: &full.fig9_record_bytes[..1],
+            fig9_result_sizes: &full.fig9_result_sizes[..1],
+            fig10_bases: &full.fig10_bases[..1],
+            fig10_result_sizes: &full.fig10_result_sizes[..1],
+            sec62_result_sizes: &full.sec62_result_sizes[..1],
+            conceptual_widths: &full.conceptual_widths[..1],
+            ablation_bases: &full.ablation_bases[..1],
+            ablation_widths: &full.ablation_widths[..1],
+            sec63_rows: &full.sec63_rows[..1],
+        }
+    }
+
+    /// The ablation's `(mode key, config, domain width)` points: single
+    /// chains, then digit chains base by base.
+    fn ablation_points(&self) -> Vec<(String, SchemeConfig, u32)> {
+        let single = self
+            .conceptual_widths
+            .iter()
+            .map(|&w| ("conceptual".to_string(), SchemeConfig::conceptual(), w));
+        let digits = self.ablation_bases.iter().flat_map(|&b| {
+            self.ablation_widths
+                .iter()
+                .map(move |&w| (format!("b{b}"), SchemeConfig::with_base(b), w))
+        });
+        single.chain(digits).collect()
     }
 }
 
@@ -135,6 +220,16 @@ impl ChainScheme {
     /// durable store).
     pub fn into_signed_table(self) -> SignedTable {
         self.st
+    }
+
+    /// Replaces the record at `pos` in place; the owner's report also
+    /// counts the signature B+-tree leaves the update touched.
+    fn update(&mut self, pos: usize, record: Record) -> UpdateReport {
+        let row = self.st.table().row(pos);
+        let (key, replica) = (row.record.key(self.st.table().schema()), row.replica);
+        self.owner
+            .update_record(&mut self.st, key, replica, record)
+            .expect("updates keep the schema")
     }
 
     fn query(&self, range: &KeyRange, projection: &[usize]) -> SelectQuery {
@@ -205,12 +300,7 @@ impl RangeScheme for ChainScheme {
     }
 
     fn update_payload(&mut self, pos: usize, record: Record) -> UpdateCost {
-        let row = self.st.table().row(pos);
-        let (key, replica) = (row.record.key(self.st.table().schema()), row.replica);
-        let report = self
-            .owner
-            .update_record(&mut self.st, key, replica, record)
-            .expect("churn updates are schema-valid");
+        let report = self.update(pos, record);
         UpdateCost {
             signatures: report.signatures_recomputed as u64,
             digests: report.g_recomputed as u64,
@@ -220,10 +310,11 @@ impl RangeScheme for ChainScheme {
 
 // --------------------------------------------------------- measurement
 
-/// Results for one scheme: deterministic cells (machine-independent,
+/// Results for one group: deterministic cells (machine-independent,
 /// committed and checked) and timings (machine-local, snapshot-only).
-pub struct SchemeResults {
-    /// Stable scheme key: `chain`, `mht`, `aggsig`, `vbtree`.
+pub struct Results {
+    /// Stable group key: the schemes `chain`, `mht`, `aggsig`, `vbtree`,
+    /// and `paper`.
     pub name: &'static str,
     /// `(key, value)` deterministic cells in emission order.
     pub cells: Vec<(String, u64)>,
@@ -231,9 +322,9 @@ pub struct SchemeResults {
     pub timing: Vec<(String, f64)>,
 }
 
-impl SchemeResults {
+impl Results {
     fn new(name: &'static str) -> Self {
-        SchemeResults {
+        Results {
             name,
             cells: Vec::new(),
             timing: Vec::new(),
@@ -246,6 +337,29 @@ impl SchemeResults {
 
     fn time(&mut self, key: String, v: f64) {
         self.timing.push((key, v));
+    }
+
+    /// Records one verification of experiment `exp` at `point`: its hash
+    /// operations as a cell and, when measured, its time.
+    fn verified(&mut self, exp: &str, point: &str, v: &Verified) {
+        self.cell(format!("{exp}/verify_hash_ops/{point}"), v.hash_ops);
+        if let Some(ns) = v.ns {
+            self.time(format!("{exp}/verify_ns/{point}"), ns);
+        }
+    }
+
+    /// [`Results::verified`] for a `q`-row answer, beside formula (5)'s
+    /// hash operations. The formula prices the worst case, so a count
+    /// above it means the experiment or the verifier is broken.
+    fn against_formula5(&mut self, exp: &str, point: &str, q: u64, v: &Verified, formula: u64) {
+        assert_eq!(v.rows as u64, q, "{exp} {point}: result size");
+        assert!(
+            v.hash_ops <= formula,
+            "{exp} {point}: {} hash ops exceed formula (5)'s {formula}",
+            v.hash_ops
+        );
+        self.verified(exp, point, v);
+        self.cell(format!("{exp}/formula_hash_ops/{point}"), formula);
     }
 
     /// Looks a deterministic cell up (panics on a key the grid did not
@@ -267,7 +381,7 @@ fn drive<S: RangeScheme>(
     queries: &[(usize, KeyRange)],
     projections: &[(String, Vec<usize>)],
     samples: Option<usize>,
-    res: &mut SchemeResults,
+    res: &mut Results,
 ) {
     let d = scheme.dissemination();
     res.cell(format!("dissemination_bytes/n{n}"), d.bytes as u64);
@@ -327,7 +441,7 @@ fn churn_scheme<S: RangeScheme>(
     grid: &Grid,
     keys: &[i64],
     timing: bool,
-    res: &mut SchemeResults,
+    res: &mut Results,
 ) {
     let (n, k) = (grid.churn_rows, grid.churn_batch);
     let mut first = UpdateCost::default();
@@ -363,7 +477,7 @@ fn churn_chain(
     grid: &Grid,
     keys: &[i64],
     timing: bool,
-    res: &mut SchemeResults,
+    res: &mut Results,
 ) {
     // Unique per call, not just per process: the unit tests run several
     // run_grid()s concurrently in one process.
@@ -420,19 +534,185 @@ fn baseline_keypair() -> Keypair {
     Keypair::generate(512, &mut rng)
 }
 
+// ------------------------------------------------------ paper experiments
+
+/// `f`'s result and the hash operations it cost the calling thread,
+/// including those `adp_crypto::par` helpers ran for it and none that
+/// other threads ran meanwhile.
+fn hash_ops_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = adp_crypto::thread_hash_ops();
+    let out = f();
+    (out, adp_crypto::thread_hash_ops() - before)
+}
+
+/// One verified answer of [`chain_costs`].
+struct Verified {
+    rows: usize,
+    hash_ops: u64,
+    /// Median verify time, when measured.
+    ns: Option<f64>,
+}
+
+/// Signs a key-only table of `keys` over `Domain::new(0, 2^width + 4)`
+/// under `config`, then answers and verifies each closed range of
+/// `ranges`; keys and ranges are offsets from the domain's smallest key.
+/// Returns the owner's hash operations per chain position (delimiters
+/// included) and the verifications in range order.
+fn chain_costs(
+    config: SchemeConfig,
+    width: u32,
+    keys: &[i64],
+    ranges: &[(i64, i64)],
+    samples: Option<usize>,
+) -> (u64, Vec<Verified>) {
+    let domain = Domain::new(0, (1i64 << width) + 4);
+    let at = |offset: i64| domain.key_min() + offset;
+    let schema = Schema::new(vec![Column::new("k", ValueType::Int)], "k");
+    let mut table = Table::new("chain", schema);
+    for &k in keys {
+        table
+            .insert(Record::new(vec![Value::Int(at(k))]))
+            .expect("key-only records fit the schema");
+    }
+    let owner = bench_owner_small();
+    let (st, sign_ops) = hash_ops_of(|| {
+        owner
+            .sign_table(table, domain, config)
+            .expect("keys are in-domain")
+    });
+    let cert = owner.certificate(&st);
+    let publisher = Publisher::new(&st);
+    let verified = ranges
+        .iter()
+        .map(|&(lo, hi)| {
+            let query = SelectQuery::range(KeyRange::closed(at(lo), at(hi)));
+            let (rows, vo) = publisher
+                .answer_select(&query)
+                .expect("ranges are well-formed");
+            let verify =
+                || verify_select(&cert, &query, &rows, &vo).expect("honest answers verify");
+            let (report, hash_ops) = hash_ops_of(verify);
+            Verified {
+                rows: report.matched,
+                hash_ops,
+                ns: samples.map(|n| measure_ns(n, verify)),
+            }
+        })
+        .collect();
+    (sign_ops / (keys.len() as u64 + 2), verified)
+}
+
+/// The paper's own experiments as the `paper` group. Hash operations are
+/// per-thread counts, so two derivations running at once agree.
+fn run_paper(grid: &PaperGrid, samples: Option<usize>) -> Results {
+    let mut res = Results::new("paper");
+
+    // Figure 9: a 120-row table signed with the paper's 1024-bit M_sign,
+    // with M_r − 27 payload bytes per record (a record encodes in M_r + 8).
+    for &mr in grid.fig9_record_bytes {
+        let spec = WorkloadSpec::new(120).payload(mr - 27);
+        let (st, cert) = spec.signed(bench_owner(), SchemeConfig::default());
+        let publisher = Publisher::new(&st);
+        let key_min = st.domain().key_min();
+        for &q in grid.fig9_result_sizes {
+            let range = KeyRange::closed(key_min, key_min + (q as i64 - 1) * KEY_GAP);
+            let query = SelectQuery::range(range);
+            let (rows, vo) = publisher
+                .answer_select(&query)
+                .expect("ranges are well-formed");
+            let report = verify_select(&cert, &query, &rows, &vo).expect("honest answers verify");
+            assert_eq!(report.matched as u64, q, "fig9 M_r {mr}: result size");
+            let key = |metric: &str| format!("fig9/{metric}/mr{mr}/q{q}");
+            res.cell(key("vo_bytes"), vo.wire_size() as u64);
+            res.cell(
+                key("result_bytes"),
+                wire::encode_records(&rows).len() as u64,
+            );
+        }
+    }
+
+    // Figure 10: twelve keys 1000 apart in a 2^32-wide domain; the
+    // verifier's cost depends on the domain, not on the table.
+    let keys: Vec<i64> = (0..12).map(|i| i * 1_000).collect();
+    let ranges: Vec<(i64, i64)> = grid
+        .fig10_result_sizes
+        .iter()
+        .map(|&q| (0, (q as i64 - 1) * 1_000))
+        .collect();
+    for &base in grid.fig10_bases {
+        let (_, verified) = chain_costs(SchemeConfig::with_base(base), 32, &keys, &ranges, samples);
+        let m = costmodel::paper_m(base, 1 << 32);
+        for (&q, v) in grid.fig10_result_sizes.iter().zip(&verified) {
+            let formula = costmodel::cuser_hashes(base, m, q);
+            res.against_formula5("fig10", &format!("b{base}/q{q}"), q, v, formula);
+        }
+    }
+
+    // Section 6.2: B = 2, m = 32, 1100 keys 100 apart.
+    let keys: Vec<i64> = (0..1_100).map(|i| i * 100).collect();
+    let ranges: Vec<(i64, i64)> = grid
+        .sec62_result_sizes
+        .iter()
+        .map(|&q| (0, (q as i64 - 1) * 100))
+        .collect();
+    let (_, verified) = chain_costs(SchemeConfig::default(), 32, &keys, &ranges, samples);
+    for (&q, v) in grid.sec62_result_sizes.iter().zip(&verified) {
+        let formula = costmodel::cuser_hashes(2, 32, q);
+        res.against_formula5("sec62", &format!("q{q}"), q, v, formula);
+    }
+
+    // Section 5.1 ablation: three adjacent keys mid-domain and a point
+    // query on the middle one.
+    for (mode, config, w) in grid.ablation_points() {
+        let mid = 1i64 << (w - 1);
+        let (owner_ops, verified) = chain_costs(
+            config,
+            w,
+            &[mid, mid + 1, mid + 2],
+            &[(mid + 1, mid + 1)],
+            samples,
+        );
+        let point = format!("{mode}/w{w}");
+        res.cell(format!("ablation/owner_hash_ops/{point}"), owner_ops);
+        res.verified("ablation", &point, &verified[0]);
+    }
+
+    // Section 6.3: one in-place payload update mid-table, through the
+    // same update paths the churn leg drives.
+    let kp = baseline_keypair();
+    for &n in grid.sec63_rows {
+        let (table, domain) = WorkloadSpec::new(n).build();
+        let pos = n / 2;
+        let record = churn_record(table.row(pos).record.key(table.schema()), 0, 0, 64);
+        let report = ChainScheme::publish(bench_owner_small(), table.clone(), domain)
+            .update(pos, record.clone());
+        let mht = MhtScheme::publish(&kp, Hasher::default(), table).update_payload(pos, record);
+        for (metric, v) in [
+            ("signatures/chain", report.signatures_recomputed as u64),
+            ("digests/chain", report.g_recomputed as u64),
+            ("leaves/chain", report.index_leaves_touched),
+            ("signatures/mht", mht.signatures),
+            ("digests/mht", mht.digests),
+        ] {
+            res.cell(format!("sec63/{metric}/n{n}"), v);
+        }
+    }
+    res
+}
+
 /// Runs the whole grid. `timing = false` is the `--check` path: every
 /// deterministic cell is still derived (and every answer still verified)
 /// but nothing is measured.
-pub fn run_grid(grid: &Grid, timing: bool) -> Vec<SchemeResults> {
+pub fn run_grid(grid: &Grid, timing: bool) -> Vec<Results> {
     let owner = bench_owner_small();
     let kp = baseline_keypair();
     let hasher = Hasher::default();
     let samples = if timing { Some(perf_samples()) } else { None };
 
-    let mut chain = SchemeResults::new("chain");
-    let mut mht = SchemeResults::new("mht");
-    let mut aggsig = SchemeResults::new("aggsig");
-    let mut vbtree = SchemeResults::new("vbtree");
+    let mut chain = Results::new("chain");
+    let mut mht = Results::new("mht");
+    let mut aggsig = Results::new("aggsig");
+    let mut vbtree = Results::new("vbtree");
 
     for &n in &grid.sizes {
         let spec = WorkloadSpec::new(n).payload(grid.payload);
@@ -461,7 +741,7 @@ pub fn run_grid(grid: &Grid, timing: bool) -> Vec<SchemeResults> {
             })
             .collect();
 
-        let publish = |res: &mut SchemeResults, f: &mut dyn FnMut()| {
+        let publish = |res: &mut Results, f: &mut dyn FnMut()| {
             let start = Instant::now();
             f();
             if timing {
@@ -549,7 +829,8 @@ pub fn run_grid(grid: &Grid, timing: bool) -> Vec<SchemeResults> {
     let mut s = VbScheme::publish(&kp, hasher, VB_FANOUT, churn_table);
     churn_scheme(&mut s, grid, &keys, timing, &mut vbtree);
 
-    vec![chain, mht, aggsig, vbtree]
+    let paper = run_paper(&grid.paper, samples);
+    vec![chain, mht, aggsig, vbtree, paper]
 }
 
 // -------------------------------------------------------- serialization
@@ -581,7 +862,7 @@ fn grid_json(grid: &Grid) -> String {
 
 /// The `"cells"` object for one scheme — exactly the text `--check`
 /// requires to appear verbatim in the committed `BENCH_PR5.json`.
-fn cells_json(res: &SchemeResults) -> String {
+fn cells_json(res: &Results) -> String {
     let mut s = String::from("      \"cells\": {\n");
     for (i, (k, v)) in res.cells.iter().enumerate() {
         let sep = if i + 1 == res.cells.len() { "" } else { "," };
@@ -591,7 +872,7 @@ fn cells_json(res: &SchemeResults) -> String {
     s
 }
 
-fn timing_json(res: &SchemeResults) -> String {
+fn timing_json(res: &Results) -> String {
     let mut s = String::from("      \"timing\": {\n");
     for (i, (k, v)) in res.timing.iter().enumerate() {
         let sep = if i + 1 == res.timing.len() { "" } else { "," };
@@ -602,14 +883,9 @@ fn timing_json(res: &SchemeResults) -> String {
 }
 
 /// The full `BENCH_PR5.json` text.
-pub fn snapshot_json(
-    grid: &Grid,
-    results: &[SchemeResults],
-    label: &str,
-    samples: usize,
-) -> String {
+pub fn snapshot_json(grid: &Grid, results: &[Results], samples: usize) -> String {
     let mut s = String::from("{\n  \"schema_version\": 1,\n");
-    s.push_str(&format!("  \"label\": \"{label}\",\n"));
+    s.push_str(&format!("  \"label\": \"{LABEL}\",\n"));
     s.push_str(&format!("  \"samples\": {samples},\n"));
     s.push_str(&grid_json(grid));
     s.push_str("  \"compare\": {\n");
@@ -629,7 +905,7 @@ pub fn snapshot_json(
 /// `baseline_compare:begin/end` markers of `docs/EVALUATION.md`,
 /// markers excluded). Deterministic cells only — timings never appear
 /// here, so the block is identical on every machine.
-pub fn doc_block(grid: &Grid, results: &[SchemeResults]) -> String {
+pub fn doc_block(grid: &Grid, results: &[Results]) -> String {
     let names = ["chain", "mht", "aggsig", "vbtree"];
     let mut s = String::new();
     s.push_str(&format!(
@@ -756,13 +1032,167 @@ pub fn doc_block(grid: &Grid, results: &[SchemeResults]) -> String {
         by_name("chain").get("churn/log_bytes_per_batch")
     ));
     s.push('\n');
+    s.push_str(&paper_block(&grid.paper, by_name("paper")));
+    s
+}
+
+/// A markdown table row.
+fn md_row(cells: impl IntoIterator<Item = String>) -> String {
+    let mut s = String::from("|");
+    for c in cells {
+        s.push_str(&format!(" {c} |"));
+    }
+    s.push('\n');
+    s
+}
+
+/// A markdown header row and its rule.
+fn md_header(cells: impl IntoIterator<Item = String>) -> String {
+    let cells: Vec<String> = cells.into_iter().collect();
+    let rule = "---|".repeat(cells.len());
+    format!("{}|{rule}\n", md_row(cells))
+}
+
+/// The `paper` group's tables.
+fn paper_block(grid: &PaperGrid, paper: &Results) -> String {
+    let params = CostParams::default();
+    let qs = |sizes: &[u64]| sizes.iter().map(|q| format!("q = {q}")).collect::<Vec<_>>();
+    let mut s = String::from(
+        "### The paper's own experiments\n\n\
+         _Figure 9 signs 120-row tables with the paper's 1024-bit `M_sign`; the other \
+         experiments sign key-only tables with 512-bit keys. Hash operations are counted \
+         on the verifying (or signing) thread, helpers included._\n\n",
+    );
+
+    s.push_str(
+        "#### Figure 9: user traffic overhead (%), measured VO bytes / result bytes \
+         (formula (4) at m = 32)\n\n",
+    );
+    s.push_str(&md_header(
+        ["M_r (bytes)".to_string()]
+            .into_iter()
+            .chain(qs(grid.fig9_result_sizes)),
+    ));
+    for &mr in grid.fig9_record_bytes {
+        let pct = grid.fig9_result_sizes.iter().map(|&q| {
+            let get = |metric: &str| paper.get(&format!("fig9/{metric}/mr{mr}/q{q}")) as f64;
+            let formula = costmodel::traffic_overhead_pct(&params, 32, q, mr as u64);
+            format!(
+                "{:.2} ({formula:.2})",
+                100.0 * get("vo_bytes") / get("result_bytes")
+            )
+        });
+        s.push_str(&md_row([mr.to_string()].into_iter().chain(pct)));
+    }
+
+    s.push_str(
+        "\n#### Figure 10: verifier hash operations, measured / formula (5), \
+         2^32-wide domain\n\n",
+    );
+    s.push_str(&md_header(
+        ["B".to_string(), "m".to_string()]
+            .into_iter()
+            .chain(qs(grid.fig10_result_sizes)),
+    ));
+    for &b in grid.fig10_bases {
+        let ops = grid.fig10_result_sizes.iter().map(|&q| {
+            let get = |metric: &str| paper.get(&format!("fig10/{metric}/b{b}/q{q}"));
+            format!("{} / {}", get("verify_hash_ops"), get("formula_hash_ops"))
+        });
+        let m = costmodel::paper_m(b, 1 << 32);
+        s.push_str(&md_row(
+            [b.to_string(), m.to_string()].into_iter().chain(ops),
+        ));
+    }
+
+    s.push_str("\n#### Section 6.2: B = 2, m = 32, 1100 rows\n\n");
+    s.push_str(&md_header(
+        [
+            "q",
+            "verifier hash ops",
+            "formula (5) hash ops",
+            "formula (5) at Table 1 costs (ms)",
+        ]
+        .map(String::from),
+    ));
+    for &q in grid.sec62_result_sizes {
+        let get = |metric: &str| paper.get(&format!("sec62/{metric}/q{q}")).to_string();
+        let ms = costmodel::cuser_ms(&params, 2, 32, q);
+        s.push_str(&md_row([
+            q.to_string(),
+            get("verify_hash_ops"),
+            get("formula_hash_ops"),
+            format!("{ms:.2}"),
+        ]));
+    }
+
+    s.push_str("\n#### Section 5.1: single chains vs digit chains (three keys, a point query)\n\n");
+    s.push_str(&md_header(
+        [
+            "chains",
+            "domain",
+            "owner hash ops per chain position",
+            "verifier hash ops",
+        ]
+        .map(String::from),
+    ));
+    for (mode, config, w) in grid.ablation_points() {
+        let get = |metric: &str| {
+            paper
+                .get(&format!("ablation/{metric}/{mode}/w{w}"))
+                .to_string()
+        };
+        let chains = match config.mode {
+            Mode::Conceptual => "single".to_string(),
+            Mode::Optimized { base } => format!("digits, B = {base}"),
+        };
+        s.push_str(&md_row([
+            chains,
+            format!("2^{w}"),
+            get("owner_hash_ops"),
+            get("verify_hash_ops"),
+        ]));
+    }
+
+    s.push_str("\n#### Section 6.3: one in-place update in the middle of the table\n\n");
+    s.push_str(&md_header(
+        [
+            "rows",
+            "scheme",
+            "signatures",
+            "digests",
+            "signature B+-tree leaves touched",
+        ]
+        .map(String::from),
+    ));
+    for &n in grid.sec63_rows {
+        for scheme in ["chain", "mht"] {
+            let get = |metric: &str| {
+                paper
+                    .get(&format!("sec63/{metric}/{scheme}/n{n}"))
+                    .to_string()
+            };
+            let leaves = if scheme == "chain" {
+                get("leaves")
+            } else {
+                "n/a".to_string()
+            };
+            s.push_str(&md_row([
+                n.to_string(),
+                scheme.to_string(),
+                get("signatures"),
+                get("digests"),
+                leaves,
+            ]));
+        }
+    }
     s
 }
 
 // ---------------------------------------------------------------- modes
 
-/// Options for [`run`] — what `baseline_compare` and `adp compare`
-/// parse their command lines into.
+/// Options for [`run`] — what `baseline_compare` parses its command
+/// line into.
 #[derive(Clone, Debug, Default)]
 pub struct CompareOpts {
     /// Use the seconds-scale smoke grid instead of the committed one.
@@ -777,11 +1207,9 @@ pub struct CompareOpts {
     pub out: Option<String>,
     /// Evaluation doc path (default `docs/EVALUATION.md`).
     pub doc: Option<String>,
-    /// Snapshot label.
-    pub label: Option<String>,
 }
 
-/// Parses harness arguments (shared by the bin and `adp compare`).
+/// Parses the `baseline_compare` command line.
 pub fn parse_args(args: &[String]) -> Result<CompareOpts, String> {
     let mut opts = CompareOpts::default();
     let mut it = args.iter();
@@ -792,7 +1220,6 @@ pub fn parse_args(args: &[String]) -> Result<CompareOpts, String> {
             "--write-doc" => opts.write_doc = true,
             "--out" => opts.out = Some(it.next().ok_or("--out needs a path")?.clone()),
             "--doc" => opts.doc = Some(it.next().ok_or("--doc needs a path")?.clone()),
-            "--label" => opts.label = Some(it.next().ok_or("--label needs a value")?.clone()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -803,8 +1230,8 @@ pub fn parse_args(args: &[String]) -> Result<CompareOpts, String> {
 }
 
 /// The repo root: the cwd when it looks like the workspace, else two
-/// levels up from this crate (both the bin and `adp compare` run from
-/// somewhere inside the workspace in practice).
+/// levels up from this crate (the bin runs from somewhere inside the
+/// workspace in practice).
 fn repo_root() -> PathBuf {
     if let Ok(cwd) = std::env::current_dir() {
         if cwd.join("docs").is_dir() && cwd.join("Cargo.toml").is_file() {
@@ -891,14 +1318,14 @@ pub fn run(opts: &CompareOpts) -> Result<(), String> {
         }
 
         // 2. Every deterministic cells-object must appear verbatim in
-        //    the committed snapshot, and every scheme must carry timing.
+        //    the committed snapshot, and every group must carry timing.
         let json = std::fs::read_to_string(&json_path)
             .map_err(|e| format!("cannot read {}: {e}", json_path.display()))?;
         for r in &results {
             let cells = cells_json(r);
             if !json.contains(&cells) {
                 return Err(format!(
-                    "BENCH_PR5.json: deterministic cells for scheme `{}` have drifted.\n\
+                    "BENCH_PR5.json: deterministic cells for group `{}` have drifted.\n\
                      Regenerate with: cargo run --release -p adp-bench --bin baseline_compare\n\
                      expected fragment:\n{cells}",
                     r.name
@@ -932,8 +1359,7 @@ pub fn run(opts: &CompareOpts) -> Result<(), String> {
             println!("{:<8} {k:<32} {v:>14.1}", r.name);
         }
     }
-    let label = opts.label.clone().unwrap_or_else(|| "pr5".into());
-    let json = snapshot_json(&grid, &results, &label, perf_samples());
+    let json = snapshot_json(&grid, &results, perf_samples());
     if opts.tiny && opts.out.is_none() {
         println!("\n(tiny grid: snapshot not written — pass --out to keep it)");
     } else {
@@ -989,7 +1415,7 @@ mod tests {
             assert_eq!(ra.cells, rb.cells, "scheme {}", ra.name);
             assert!(ra.timing.is_empty());
         }
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.len(), 5);
     }
 
     #[test]
@@ -1034,10 +1460,30 @@ mod tests {
     }
 
     #[test]
+    fn paper_group_is_the_same_when_derived_on_two_threads_at_once() {
+        // Hash operations are counted per thread: a count taken from the
+        // process-wide counter would include the other thread's work.
+        let alone = run_paper(&PaperGrid::tiny(), None);
+        let start = std::sync::Barrier::new(2);
+        let both: Vec<Results> = std::thread::scope(|s| {
+            let derive = || {
+                start.wait();
+                run_paper(&PaperGrid::tiny(), None)
+            };
+            let (a, b) = (s.spawn(derive), s.spawn(derive));
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        for r in both {
+            assert_eq!(r.cells, alone.cells);
+        }
+        assert_eq!(alone.get("ablation/owner_hash_ops/conceptual/w8"), 264);
+    }
+
+    #[test]
     fn snapshot_contains_cells_and_timing_for_all_schemes() {
         let results = run_grid(&Grid::tiny(), false);
-        let json = snapshot_json(&Grid::tiny(), &results, "test", 2);
-        for name in ["chain", "mht", "aggsig", "vbtree"] {
+        let json = snapshot_json(&Grid::tiny(), &results, 2);
+        for name in ["chain", "mht", "aggsig", "vbtree", "paper"] {
             assert!(json.contains(&format!("\"{name}\": {{")));
         }
         for r in &results {

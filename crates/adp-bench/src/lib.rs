@@ -1,19 +1,13 @@
 //! # adp-bench
 //!
-//! Workload generation and shared harness utilities for regenerating every
-//! table and figure of the paper's evaluation (Section 6). The actual
-//! experiment drivers live in `benches/` (run with `cargo bench`):
+//! Workload generation and the harnesses that reproduce and measure the
+//! paper's evaluation:
 //!
-//! | Bench target | Paper artifact |
-//! |--------------|----------------|
-//! | `table1_params` | Table 1 (cost parameters, paper vs measured) |
-//! | `fig9_traffic` | Figure 9 (user traffic overhead) |
-//! | `fig10_user_cost` | Figure 10 (user computation overhead vs `B`) |
-//! | `sec62_scaling` | Section 6.2 absolute numbers (15.5 ms / 689 ms / 6.81 s) |
-//! | `sec63_updates` | Section 6.3 update locality vs Merkle trees |
-//! | `ablation_chain` | Section 5.1 motivation: conceptual vs optimized chains |
-//! | `baseline_compare` | Section 2.3 / 6.1 comparison vs \[10\], \[13\], \[20\] |
-//! | `owner_scaling` | Section 6.3 owner costs: signing throughput vs table size |
+//! | Harness | What it does |
+//! |---------|--------------|
+//! | [`compare`] (bin `baseline_compare`) | Section 2.3 / 6.1 comparison vs \[10\], \[13\], \[20\], Section 6.3 churn, and the paper's Figures 9–10, Section 5.1 ablation and Sections 6.2–6.3 — drift-checked cells in `docs/EVALUATION.md` and `BENCH_PR5.json` |
+//! | [`chaos`] | Verified queries through the fault proxy |
+//! | bin `adpbench` | The end-to-end benchmark declared in `BENCHMARK.json` |
 //!
 //! Per-layer unit costs (hashing, RSA, VO assembly, verification) are
 //! measured by the `adpbench` end-to-end benchmark's `--trace 1` probes.
@@ -27,27 +21,17 @@ use std::time::{Duration, Instant};
 pub mod chaos;
 pub mod compare;
 
-/// Key distributions for generated tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyDist {
-    /// Evenly spaced keys (`gap` apart) — deterministic selectivity.
-    Spaced { gap: i64 },
-    /// Uniform random keys in the legal key interval.
-    Uniform,
-    /// Clustered keys: a few dense runs (stress for duplicates/ranges).
-    Clustered,
-    /// Zipf-distributed keys (exponent ~1): heavy duplication on a few hot
-    /// keys, exercising the replica-number machinery at scale.
-    Zipf,
-}
+/// Gap between consecutive generated keys: a range of `q · KEY_GAP`
+/// keys holds exactly `q` rows.
+pub(crate) const KEY_GAP: i64 = 10;
 
-/// Workload builder: tables with a key column and a sized payload.
+/// Workload builder: tables with evenly spaced keys (`KEY_GAP` = 10
+/// apart) and a sized payload.
 #[derive(Clone, Debug)]
 pub struct WorkloadSpec {
     pub rows: usize,
     /// Payload bytes per record (drives the paper's `M_r`).
     pub payload_bytes: usize,
-    pub dist: KeyDist,
     pub seed: u64,
 }
 
@@ -57,7 +41,6 @@ impl WorkloadSpec {
         WorkloadSpec {
             rows,
             payload_bytes: 64,
-            dist: KeyDist::Spaced { gap: 10 },
             seed: 42,
         }
     }
@@ -65,12 +48,6 @@ impl WorkloadSpec {
     /// Builder: payload size.
     pub fn payload(mut self, bytes: usize) -> Self {
         self.payload_bytes = bytes;
-        self
-    }
-
-    /// Builder: key distribution.
-    pub fn dist(mut self, dist: KeyDist) -> Self {
-        self.dist = dist;
         self
     }
 
@@ -89,40 +66,13 @@ impl WorkloadSpec {
     /// Generates the table and a domain that fits it.
     pub fn build(&self) -> (Table, Domain) {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let domain = match self.dist {
-            KeyDist::Spaced { gap } => Domain::new(0, (self.rows as i64 + 2) * gap.max(1) + 4),
-            KeyDist::Uniform | KeyDist::Clustered | KeyDist::Zipf => Domain::new(0, 1 << 24),
-        };
+        let domain = Domain::new(0, (self.rows as i64 + 2) * KEY_GAP + 4);
         let mut t = Table::new("bench", Self::schema());
         for i in 0..self.rows {
-            let k = match self.dist {
-                KeyDist::Spaced { gap } => domain.key_min() + (i as i64) * gap,
-                KeyDist::Uniform => rng.gen_range(domain.key_min()..=domain.key_max()),
-                KeyDist::Clustered => {
-                    let cluster = (i / 50) as i64;
-                    domain.key_min() + cluster * 1_000 + rng.gen_range(0..40)
-                }
-                KeyDist::Zipf => {
-                    // Inverse-CDF sampling of a rank-Zipf over 1000 ranks:
-                    // rank r with weight 1/r.
-                    let ranks = 1_000u32;
-                    let h: f64 = (1..=ranks).map(|r| 1.0 / r as f64).sum();
-                    let mut target = rng.gen_range(0.0..h);
-                    let mut rank = 1u32;
-                    for r in 1..=ranks {
-                        target -= 1.0 / r as f64;
-                        if target <= 0.0 {
-                            rank = r;
-                            break;
-                        }
-                    }
-                    domain.key_min() + (rank as i64) * 7
-                }
-            };
             let mut payload = vec![0u8; self.payload_bytes];
             rng.fill(payload.as_mut_slice());
             t.insert(Record::new(vec![
-                Value::Int(k),
+                Value::Int(domain.key_min() + i as i64 * KEY_GAP),
                 Value::Int((i % 10) as i64),
                 Value::Bytes(payload),
             ]))
@@ -194,53 +144,6 @@ pub fn measure_ns<T>(n_samples: usize, mut f: impl FnMut() -> T) -> f64 {
     times[times.len() / 2]
 }
 
-/// Times a closure averaged over `iters` runs (after one warmup).
-pub fn timed_avg(iters: usize, mut f: impl FnMut()) -> Duration {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed() / iters as u32
-}
-
-/// Minimal fixed-width table printer for the figure harnesses.
-pub struct TablePrinter {
-    widths: Vec<usize>,
-}
-
-impl TablePrinter {
-    /// Starts a table and prints the header row.
-    pub fn new(headers: &[&str]) -> Self {
-        let widths: Vec<usize> = headers.iter().map(|h| h.len().max(10)).collect();
-        let p = TablePrinter { widths };
-        p.row(headers);
-        let rule: Vec<String> = p.widths.iter().map(|w| "-".repeat(*w)).collect();
-        p.row(&rule.iter().map(String::as_str).collect::<Vec<_>>());
-        p
-    }
-
-    /// Prints one row.
-    pub fn row(&self, cells: &[&str]) {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            let w = self.widths.get(i).copied().unwrap_or(10);
-            line.push_str(&format!("{cell:>w$}  "));
-        }
-        println!("{}", line.trim_end());
-    }
-}
-
-/// Formats a float with 2 decimals.
-pub fn f2(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Formats a duration in milliseconds with 3 decimals.
-pub fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1_000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,29 +166,6 @@ mod tests {
     fn payload_drives_record_size() {
         let (t, _) = WorkloadSpec::new(2).payload(512).build();
         assert!(t.rows()[0].record.wire_size() >= 512);
-    }
-
-    #[test]
-    fn zipf_produces_hot_keys() {
-        let (t, _) = WorkloadSpec::new(400).dist(KeyDist::Zipf).build();
-        // The hottest key should have many replicas.
-        let max_replica = t.rows().iter().map(|r| r.replica).max().unwrap();
-        assert!(
-            max_replica >= 10,
-            "zipf should duplicate hot keys, got {max_replica}"
-        );
-    }
-
-    #[test]
-    fn uniform_and_clustered_build() {
-        for dist in [KeyDist::Uniform, KeyDist::Clustered, KeyDist::Zipf] {
-            let (t, domain) = WorkloadSpec::new(50).dist(dist).build();
-            assert_eq!(t.len(), 50);
-            assert!(t
-                .rows()
-                .iter()
-                .all(|r| domain.contains_key(r.record.key(t.schema()))));
-        }
     }
 
     #[test]

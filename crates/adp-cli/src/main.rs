@@ -98,7 +98,6 @@ fn main() -> ExitCode {
         Some("subscribe") => cmd_subscribe(&parse_flags(&args[1..])),
         Some("ingest") => cmd_ingest(&parse_flags(&args[1..])).map_err(CliError::from),
         Some("compact") => cmd_compact(&parse_flags(&args[1..])).map_err(CliError::from),
-        Some("compare") => cmd_compare(&args[1..]).map_err(CliError::from),
         Some("help") | None => {
             print_usage();
             Ok(())
@@ -137,13 +136,9 @@ fn print_usage() {
          \x20           [--sub N] [--deltas N] [--retry N] [--max-backoff SECS]\n\
          adp ingest  --store DIR [--csv FILE] [--delete K[:R],...] [--seed N] [--bits N]\n\
          adp compact --store DIR\n\
-         adp compare [--tiny] [--check] [--write-doc] [--out FILE] [--doc FILE]\n\
          \n\
          `--range A..B` is the closed key range [A, B]; A..A asks for one key.\n\
          `--domain L..U` needs U - L >= 4 (two delimiters and a key).\n\
-         `compare` reproduces the paper's scheme comparison (chain vs MHT,\n\
-         aggregated signatures, VB-tree) over the shared workload grid and\n\
-         keeps docs/EVALUATION.md verifiably in sync (--check).\n\
          `--store DIR` is the durable format (docs/STORAGE.md): a snapshot\n\
          plus an append-only update log. `ingest` applies a signed batch of\n\
          inserts/deletes with O(k) re-signing (regenerate the owner keypair\n\
@@ -904,16 +899,6 @@ fn cmd_compact(flags: &Flags) -> Result<(), String> {
         store.next_seq(),
     );
     Ok(())
-}
-
-// ---------------------------------------------------------------- compare
-
-/// Thin wrapper over `adp_bench::compare` — the scheme-comparison
-/// harness that regenerates (and `--check`s) `docs/EVALUATION.md` and
-/// `BENCH_PR5.json`. Flags are passed through verbatim.
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let opts = adp_bench::compare::parse_args(args)?;
-    adp_bench::compare::run(&opts)
 }
 
 // ----------------------------------------------------------------- rquery

@@ -2,8 +2,8 @@
 //!
 //! These functions regenerate the exact curves of **Figure 9** (user
 //! traffic overhead) and **Figure 10** (user computation overhead) with the
-//! paper's constants, so the bench harness can print the paper's series
-//! next to values *measured* from this implementation.
+//! paper's constants, so `adp-bench`'s evaluation harness can set the
+//! paper's series beside values *measured* from this implementation.
 //!
 //! Formula (4) — authentication traffic to the user:
 //!

@@ -10,8 +10,8 @@
 //! insert/delete/modify recomputes **three (or two) signatures** — the
 //! record's own and its immediate neighbours' — instead of a root path of
 //! digests as in Merkle-tree schemes. Signatures are additionally stored in
-//! a [`BPlusTree`] keyed by `(K, replica)`; its node-visit counters feed
-//! the `sec63_updates` experiment.
+//! a [`BPlusTree`] keyed by `(K, replica)`; its node-visit counters give
+//! [`UpdateReport`] the leaves an update touched.
 
 use crate::domain::Domain;
 use crate::gdigest::{g_of_delimiter, link_digest, materialize_record, GDigest};

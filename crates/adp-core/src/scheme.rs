@@ -9,7 +9,7 @@ pub enum Mode {
     /// per direction. Cost is linear in the domain width — the paper's
     /// Section 5.1 notes 2³² hashes ≈ 60 hours for a 4-byte key at
     /// 50 µs/hash — so this mode exists for small domains, tests, and the
-    /// `ablation_chain` bench.
+    /// Section 5.1 ablation in `adp-bench`'s evaluation harness.
     Conceptual,
     /// Section 5.1: base-`B` digit decomposition with canonical and `m`
     /// preferred non-canonical representations; cost is

@@ -21,13 +21,13 @@
 //! # Operation counting
 //!
 //! The paper's cost model is expressed in *numbers of hash operations*
-//! (`C_hash` per op). A relaxed global counter lets benches report exact
-//! operation counts that can be compared with formulas (4)/(5) independently
-//! of hardware speed; a per-thread twin ([`thread_hash_ops`]) attributes
-//! them to the thread that hashed — or, for work fanned out by
-//! [`crate::par`], to the thread that asked for it — for callers that share
-//! the process with other hashing threads. Bulk calls count once for the
-//! whole call.
+//! (`C_hash` per op). Two counters report exact operation counts that can
+//! be compared with formulas (4)/(5) independently of hardware speed: a
+//! relaxed process-wide one ([`hash_ops`]) and a per-thread one
+//! ([`thread_hash_ops`]) that attributes them to the thread that hashed —
+//! or, for work fanned out by [`crate::par`], to the thread that asked for
+//! it — so a measurement stays exact while other threads hash. Bulk calls
+//! count once for the whole call.
 //!
 //! # One block, two lanes
 //!
@@ -79,14 +79,9 @@ thread_local! {
 }
 
 /// Total number of hash-function applications performed process-wide since
-/// start (or since [`reset_hash_ops`]).
+/// start.
 pub fn hash_ops() -> u64 {
     HASH_OPS.load(Ordering::Relaxed)
-}
-
-/// Resets the global hash-operation counter and returns the previous value.
-pub fn reset_hash_ops() -> u64 {
-    HASH_OPS.swap(0, Ordering::Relaxed)
 }
 
 /// Number of hash-function applications performed **by the calling thread**

@@ -42,7 +42,7 @@ pub use aggregate::AggregateSignature;
 pub use bigint::BigUint;
 pub use chain::{chain_extend, chain_extend_many, chain_from_value, chain_run};
 pub use digest::Digest;
-pub use hasher::{hash_ops, reset_hash_ops, thread_hash_ops, HashDomain, Hasher};
+pub use hasher::{hash_ops, thread_hash_ops, HashDomain, Hasher};
 pub use merkle::{
     root_from_mixed, root_from_range, verify_inclusion, InclusionProof, MerkleTree, MixedLeaf,
     ProofStep, RangeProofNode,

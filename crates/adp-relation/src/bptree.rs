@@ -6,9 +6,9 @@
 //! adjacent leaf nodes, in contrast to Merkle-hash-tree schemes that must
 //! recompute a path of digests up to the root (a locking hot-spot).
 //!
-//! To let the benchmark `sec63_updates` quantify exactly that claim, the
-//! tree counts node visits ([`BPlusTree::stats`]) and can report which leaf
-//! a key resides in ([`BPlusTree::leaf_id_of`]).
+//! To let the evaluation quantify exactly that claim, the tree counts node
+//! visits ([`BPlusTree::stats`]) and can report which leaf a key resides in
+//! ([`BPlusTree::leaf_id_of`]).
 //!
 //! Nodes are reference counted and a mutation copies only the nodes on its
 //! root path that another tree still shares (`Arc::make_mut`), so a clone
