@@ -37,6 +37,10 @@ pub enum ClientError {
     NonNumericColumn {
         column: String,
     },
+    /// The SUM of the column's verified values does not fit in an `i64`.
+    SumOverflow {
+        column: String,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -49,6 +53,9 @@ impl std::fmt::Display for ClientError {
             }
             ClientError::NonNumericColumn { column } => {
                 write!(f, "aggregate column '{column}' is not numeric")
+            }
+            ClientError::SumOverflow { column } => {
+                write!(f, "SUM of column '{column}' overflows a 64-bit integer")
             }
         }
     }
@@ -294,18 +301,37 @@ impl Client {
                 }
             }
         }
-        Ok(match kind {
-            AggregateKind::Count => unreachable!("handled above"),
-            AggregateKind::Sum => AggregateValue::Sum(values.iter().sum()),
-            AggregateKind::Min => AggregateValue::Min(values.iter().min().copied()),
-            AggregateKind::Max => AggregateValue::Max(values.iter().max().copied()),
-            AggregateKind::Avg => AggregateValue::Avg(if values.is_empty() {
-                None
-            } else {
-                Some(values.iter().sum::<i64>() as f64 / values.len() as f64)
-            }),
-        })
+        fold_aggregate(kind, column, &values)
     }
+}
+
+/// Folds the integer values of a verified answer's aggregated `column` —
+/// the one fold behind [`Client::aggregate`] and
+/// [`PhysicalPlan::finish`](crate::plan::PhysicalPlan::finish). SUM is
+/// checked: a total outside `i64` is [`ClientError::SumOverflow`], never a
+/// wrapped or panicking sum. AVG accumulates in `i128` and cannot overflow.
+/// Over no values COUNT and SUM are 0 and MIN, MAX and AVG are `None`.
+pub(crate) fn fold_aggregate(
+    kind: AggregateKind,
+    column: &str,
+    values: &[i64],
+) -> Result<AggregateValue, ClientError> {
+    let total = || values.iter().map(|&v| i128::from(v)).sum::<i128>();
+    Ok(match kind {
+        AggregateKind::Count => AggregateValue::Count(values.len() as u64),
+        AggregateKind::Sum => {
+            AggregateValue::Sum(
+                i64::try_from(total()).map_err(|_| ClientError::SumOverflow {
+                    column: column.to_string(),
+                })?,
+            )
+        }
+        AggregateKind::Min => AggregateValue::Min(values.iter().min().copied()),
+        AggregateKind::Max => AggregateValue::Max(values.iter().max().copied()),
+        AggregateKind::Avg => {
+            AggregateValue::Avg((!values.is_empty()).then(|| total() as f64 / values.len() as f64))
+        }
+    })
 }
 
 /// Supported verified aggregates.
@@ -538,6 +564,53 @@ mod tests {
                 .aggregate(&publisher, &q, "amount", AggregateKind::Avg)
                 .unwrap(),
             AggregateValue::Avg(None)
+        );
+    }
+
+    #[test]
+    fn verified_sum_overflow_is_an_error_not_a_wrong_total() {
+        let schema = Schema::new(
+            vec![
+                Column::new("k", ValueType::Int),
+                Column::new("amount", ValueType::Int),
+            ],
+            "k",
+        );
+        let mut t = Table::new("big", schema);
+        for k in [5, 15] {
+            t.insert(adp_relation::Record::new(vec![
+                Value::Int(k),
+                Value::Int(i64::MAX),
+            ]))
+            .unwrap();
+        }
+        let st = owner()
+            .sign_table(
+                t,
+                crate::domain::Domain::new(0, 1_000),
+                SchemeConfig::default(),
+            )
+            .unwrap();
+        let mut client = Client::new(owner().certificate(&st));
+        let publisher = Publisher::new(&st);
+        let q = SelectQuery::range(KeyRange::all());
+        assert_eq!(
+            client.aggregate(&publisher, &q, "amount", AggregateKind::Sum),
+            Err(ClientError::SumOverflow {
+                column: "amount".to_string()
+            })
+        );
+        assert_eq!(
+            client
+                .aggregate(&publisher, &q, "amount", AggregateKind::Avg)
+                .unwrap(),
+            AggregateValue::Avg(Some(i64::MAX as f64))
+        );
+        assert_eq!(
+            client
+                .aggregate(&publisher, &q, "amount", AggregateKind::Max)
+                .unwrap(),
+            AggregateValue::Max(Some(i64::MAX))
         );
     }
 

@@ -28,7 +28,7 @@
 //! * [`gdigest`] — `g(r)` construction in conceptual and optimized modes.
 //! * [`vo`] / [`wire`] — verification objects and their byte-exact codec.
 //! * [`costmodel`] — the analytic formulas (4)/(5) with Table 1 constants,
-//!   regenerating the paper's Figures 9 and 10.
+//!   the formulas behind the paper's Figures 9 and 10.
 //!
 //! ## Quick start
 //!
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::client::{AggregateKind, AggregateValue, Client, ClientError, SessionStats};
     pub use crate::domain::{Domain, QueryBounds};
     pub use crate::errors::VerifyError;
-    pub use crate::owner::{BatchReport, Certificate, Mutation, Owner, SignedTable, UpdateReport};
+    pub use crate::owner::{BatchReport, Certificate, Mutation, Owner, SignedTable};
     pub use crate::passes::{default_passes, Pass, Planned, Planner};
     pub use crate::plan::{Catalog, CatalogTable, PhysicalPlan, Plan, PlanError, WirePlan};
     pub use crate::publisher::Publisher;

@@ -9,24 +9,33 @@
 //! Updates have the locality the paper highlights in Section 6.3: an
 //! insert/delete/modify recomputes **three (or two) signatures** — the
 //! record's own and its immediate neighbours' — instead of a root path of
-//! digests as in Merkle-tree schemes. Signatures are additionally stored in
-//! a [`BPlusTree`] keyed by `(K, replica)`; its node-visit counters give
-//! [`UpdateReport`] the leaves an update touched.
+//! digests as in Merkle-tree schemes. Every change goes through
+//! [`Owner::apply_batch`] (a single change is a one-mutation batch), which
+//! re-signs the union of its mutations' neighbourhoods. Signatures are
+//! additionally stored in a [`BPlusTree`] keyed by `(K, replica)`, whose
+//! node-visit counters show how few leaves a batch touches.
+//!
+//! A [`SignedTable`] is built by one path and changed by one path. Each
+//! forks only at the step where the signatures come from: the owner's key,
+//! or signatures that arrive with the data (disseminated with a snapshot,
+//! or carried by a logged batch and checked one by one).
 
 use crate::domain::Domain;
-use crate::gdigest::{g_of_delimiter, link_digest, materialize_record, GDigest};
+use crate::gdigest::{edge_digest, g_of_delimiter, link_digests_run, materialize_record, GDigest};
 use crate::repr::Radix;
 use crate::scheme::{Mode, SchemeConfig};
 use adp_crypto::par::{self, Split};
 use adp_crypto::{Digest, Hasher, Keypair, PublicKey, Signature};
 use adp_relation::{BPlusTree, CowVec, Record, Schema, SchemaError, Table};
 use rand::RngCore;
+use std::collections::BTreeSet;
 use std::fmt;
 
-/// How [`Owner::sign_table`] cuts the chain positions over the cores. A
-/// position costs one RSA signature (≈ 110 µs at 1024 bits) plus ≈ 160 hash
-/// operations, so a 16-position chunk (≈ 2 ms) dwarfs the ≈ 30–60 µs a
-/// helper thread costs to start, and from two chunks up a split pays.
+/// How the owner's signing and a build's `g` materialisation cut chain
+/// positions over the cores. A position costs one RSA signature (≈ 110 µs
+/// at 1024 bits) plus ≈ 160 hash operations, so a 16-position chunk
+/// (≈ 2 ms) dwarfs the ≈ 30–60 µs a helper thread costs to start, and from
+/// two chunks up a split pays.
 const SIGN_SPLIT: Split = Split { chunk: 16, at: 32 };
 
 /// Errors raised by owner operations.
@@ -122,19 +131,6 @@ pub struct SignedEntry {
     pub signature: Signature,
 }
 
-/// Cost accounting for one update operation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UpdateReport {
-    /// Signatures recomputed (3 for insert/modify, 2 for delete).
-    pub signatures_recomputed: usize,
-    /// `g` digests recomputed (1 for insert/modify, 0 for delete).
-    pub g_recomputed: usize,
-    /// Leaf nodes of the signature B+-tree touched.
-    pub index_leaves_touched: u64,
-    /// Total B+-tree nodes touched.
-    pub index_nodes_touched: u64,
-}
-
 /// One owner-side mutation of a signed table, as carried in an ingest
 /// batch and in `adp-store` update-log records.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -180,16 +176,32 @@ pub struct BatchReport {
     pub g_recomputed: usize,
 }
 
+/// Where the signatures of the chain positions a build or a batch writes
+/// come from: the one step at which the paths that build and change a
+/// [`SignedTable`] fork.
+enum Signatures<'a> {
+    /// The owner signs each position's link digest with its key.
+    Sign(&'a Keypair),
+    /// Disseminated with the data, one per chain position `0..=n+1`, and
+    /// taken as they are: serving callers run [`SignedTable::audit`].
+    Supplied(Vec<Signature>),
+    /// Carried by a logged batch as `(chain position, signature)` in chain
+    /// order, for exactly the positions the batch dirties. Each is checked
+    /// by itself against its own link digest.
+    Checked(&'a [(u32, Signature)]),
+}
+
 /// A table signed for publishing: data + signature chain + signature index.
 ///
 /// A clone is an independent copy that costs `O(1)`: rows, chain entries
 /// and signature-index nodes are shared with the original until one of the
 /// two changes them, and then only the changed root paths are copied
 /// ([`CowVec`], [`BPlusTree`]); a signature in a chain entry and in the
-/// index is one allocation. `adp-store` and the live-reloading server
-/// stage each batch on a clone before atomically swapping it in, so an
-/// update costs its batch — and dropping the previous epoch frees only
-/// what the batch replaced.
+/// index is one allocation. Every batch is staged on such a clone and
+/// swapped in once it is complete, and `adp-store` and the live-reloading
+/// server keep the previous epoch serving meanwhile, so an update costs
+/// its batch — and dropping the previous epoch frees only what the batch
+/// replaced.
 #[derive(Clone, Debug)]
 pub struct SignedTable {
     table: Table,
@@ -261,16 +273,7 @@ impl SignedTable {
 
     /// Key at a chain position (delimiters included).
     pub fn key_at(&self, chain_pos: usize) -> i64 {
-        if chain_pos == 0 {
-            self.domain.left_delimiter()
-        } else if chain_pos == self.entries.len() - 1 {
-            self.domain.right_delimiter()
-        } else {
-            self.table
-                .row(chain_pos - 1)
-                .record
-                .key(self.table.schema())
-        }
+        self.tree_key_at(chain_pos).0
     }
 
     /// `(key, replica)` at a chain position.
@@ -307,38 +310,153 @@ impl SignedTable {
         self.entries[chain_pos].g.to_bytes()
     }
 
-    /// The link digest signed at `chain_pos` (recomputed from current `g`s).
-    fn link_at(&self, chain_pos: usize) -> Digest {
-        let prev = if chain_pos == 0 {
-            crate::gdigest::edge_digest(&self.hasher, self.domain.l())
-                .as_bytes()
-                .to_vec()
-        } else {
-            self.entries[chain_pos - 1].g.to_bytes()
-        };
-        let next = if chain_pos == self.entries.len() - 1 {
-            crate::gdigest::edge_digest(&self.hasher, self.domain.u())
-                .as_bytes()
-                .to_vec()
-        } else {
-            self.entries[chain_pos + 1].g.to_bytes()
-        };
-        link_digest(
-            &self.hasher,
-            &prev,
-            &self.entries[chain_pos].g.to_bytes(),
-            &next,
+    /// Internal consistency check: every stored signature verifies against
+    /// the link digest recomputed from the current `g`s. `O(n)` signature
+    /// verifications.
+    pub fn audit(&self) -> bool {
+        let all: Vec<usize> = (0..self.entries.len()).collect();
+        self.links_for(&all)
+            .iter()
+            .zip(self.entries.iter())
+            .all(|(link, entry)| self.public_key.verify(&self.hasher, link, &entry.signature))
+    }
+
+    /// Publisher-side reconstruction from disseminated parts: the owner
+    /// ships only the data and the `n + 2` signatures (Figure 3); the
+    /// publisher recomputes every digest itself.
+    ///
+    /// The signatures are taken as supplied, not verified. A caller that
+    /// serves the table must first prove it with [`SignedTable::audit`],
+    /// as `Server::open_store`, a follower's bootstrap and `adp serve` do.
+    ///
+    /// `signatures` must cover chain positions `0..=n+1` in order.
+    pub fn from_parts(
+        table: Table,
+        domain: Domain,
+        config: SchemeConfig,
+        signatures: Vec<Signature>,
+        public_key: PublicKey,
+    ) -> Result<Self, OwnerError> {
+        SignedTable::build(
+            table,
+            domain,
+            config,
+            public_key,
+            Signatures::Supplied(signatures),
         )
     }
 
-    /// Internal consistency check: every stored signature verifies against
-    /// the recomputed link digest. `O(n)` signature verifications — test
-    /// and debugging helper.
-    pub fn audit(&self) -> bool {
-        (0..self.entries.len()).all(|i| {
-            self.public_key
-                .verify(&self.hasher, &self.link_at(i), &self.entries[i].signature)
-        })
+    /// Publisher-side batch application: replays a logged batch *without
+    /// the signing key*, splicing in the owner-provided signatures after
+    /// verifying them against the link digests recomputed from local state.
+    /// A tampered log record — flipped payload bytes, a forged signature,
+    /// a wrong position set — is rejected with a typed error.
+    ///
+    /// `ops` must be in canonical order (as emitted by
+    /// [`Owner::apply_batch`]); `resigned` must list `(chain position,
+    /// signature)` in chain order for exactly the dirtied positions.
+    ///
+    /// Every signature is verified by itself against its own link digest.
+    /// A condensed-RSA aggregate (Section 5.2) is deliberately *not* used
+    /// here: it only checks the product of the signatures, so it accepts
+    /// two signatures swapped between their positions (or `σ_i·r`,
+    /// `σ_j·r⁻¹`), and a record accepted here is persisted and fanned out.
+    ///
+    /// All or nothing, as [`Owner::apply_batch`]: an `Err` leaves the table
+    /// exactly as it was.
+    pub fn replay_batch(
+        &mut self,
+        ops: &[Mutation],
+        resigned: &[(u32, Signature)],
+    ) -> Result<(), OwnerError> {
+        self.prevalidate_records(ops)?;
+        self.apply(ops, Signatures::Checked(resigned))?;
+        Ok(())
+    }
+
+    /// The build core behind [`Owner::sign_table`] and
+    /// [`SignedTable::from_parts`]: checks every key against the domain,
+    /// materialises the `g` of every chain position `0..=n+1` on the
+    /// available cores, and installs the `n + 2` signatures `source` gives.
+    fn build(
+        table: Table,
+        domain: Domain,
+        config: SchemeConfig,
+        public_key: PublicKey,
+        source: Signatures<'_>,
+    ) -> Result<SignedTable, OwnerError> {
+        // Validate all keys before doing any crypto work.
+        for row in table.iter() {
+            let k = row.record.key(table.schema());
+            if !domain.contains_key(k) {
+                return Err(OwnerError::KeyOutOfDomain { key: k });
+            }
+        }
+        let hasher = config.hasher();
+        let radix = match config.mode {
+            Mode::Conceptual => None,
+            Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
+        };
+        let n = table.len();
+        // Every entry is installed below; until then it holds a placeholder.
+        let unsigned = Signature::from_bytes(&[]);
+        let delimiter = |key| g_of_delimiter(&hasher, &config, radix.as_ref(), &domain, key);
+        let entry = |pos: usize| {
+            let (g, roots) = match pos {
+                0 => (delimiter(domain.left_delimiter()), None),
+                _ if pos == n + 1 => (delimiter(domain.right_delimiter()), None),
+                _ => materialize_record(
+                    &hasher,
+                    &config,
+                    radix.as_ref(),
+                    &domain,
+                    table.schema(),
+                    &table.row(pos - 1).record,
+                ),
+            };
+            SignedEntry {
+                g,
+                roots,
+                signature: unsigned.clone(),
+            }
+        };
+        let entries = par::concat(par::map_chunks(n + 2, SIGN_SPLIT, par::workers(), |r| {
+            r.map(&entry).collect::<Vec<_>>()
+        }));
+        let mut st = SignedTable {
+            table,
+            domain,
+            config,
+            hasher,
+            radix,
+            entries: entries.into(),
+            sig_index: BPlusTree::new(64),
+            public_key,
+        };
+        let all: Vec<usize> = (0..n + 2).collect();
+        let signed = st.signatures(&all, source)?;
+        st.install(&signed);
+        Ok(st)
+    }
+
+    /// The change core behind [`Owner::apply_batch`] and
+    /// [`SignedTable::replay_batch`]: stages the canonical-order `ops` on a
+    /// copy, takes one signature per dirtied position from `source`,
+    /// installs them and swaps the copy in. All or nothing: an `Err` drops
+    /// the copy and leaves the table exactly as it was. Returns the
+    /// installed `(chain position, signature)` pairs and the number of `g`
+    /// digests recomputed.
+    fn apply(
+        &mut self,
+        ops: &[Mutation],
+        source: Signatures<'_>,
+    ) -> Result<(Vec<(u32, Signature)>, usize), OwnerError> {
+        let mut staged = self.clone();
+        let (positions, g_recomputed) = staged.stage_batch(ops)?;
+        let signed = staged.signatures(&positions, source)?;
+        staged.install(&signed);
+        *self = staged;
+        Ok((signed, g_recomputed))
     }
 
     /// `g` and rep-roots for one record, from this table's scheme state.
@@ -382,64 +500,26 @@ impl SignedTable {
         Ok(())
     }
 
-    /// Validates a (canonical-order) batch against the pre-batch state so
-    /// staging cannot fail halfway: keys in domain, delete/update targets
-    /// present exactly once, no key-changing updates.
-    fn validate_batch(&self, ops: &[Mutation]) -> Result<(), OwnerError> {
-        let schema = self.table.schema();
-        let mut removed: std::collections::BTreeSet<(i64, u32)> = std::collections::BTreeSet::new();
-        for op in ops {
-            match op {
-                Mutation::Insert(record) => {
-                    let key = record.key(schema);
-                    if !self.domain.contains_key(key) {
-                        return Err(OwnerError::KeyOutOfDomain { key });
-                    }
-                }
-                Mutation::Delete { key, replica } => {
-                    if self.table.position_of(*key, *replica).is_none()
-                        || !removed.insert((*key, *replica))
-                    {
-                        return Err(OwnerError::NoSuchRecord {
-                            key: *key,
-                            replica: *replica,
-                        });
-                    }
-                }
-                Mutation::Update {
-                    key,
-                    replica,
-                    record,
-                } => {
-                    let new_key = record.key(schema);
-                    if new_key != *key {
-                        return Err(OwnerError::UpdateChangesKey { key: *key, new_key });
-                    }
-                    if self.table.position_of(*key, *replica).is_none()
-                        || removed.contains(&(*key, *replica))
-                    {
-                        return Err(OwnerError::NoSuchRecord {
-                            key: *key,
-                            replica: *replica,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the structural half of a batch — table rows, chain entries,
-    /// fresh `g` digests (signatures untouched except placeholders for
-    /// inserts) — and returns `(dirty chain positions, g recomputed)`.
+    /// Applies the structural half of a canonical-order batch — table rows,
+    /// chain entries, fresh `g` digests (signatures untouched except
+    /// placeholders for inserts) — and returns `(dirty chain positions, g
+    /// recomputed)`. Each mutation is checked as it is staged: an insert's
+    /// key lies in the domain, an update keeps its key, a delete or update
+    /// finds its target. A failure leaves the table half-staged, which is
+    /// why only [`SignedTable::apply`]'s copy is ever staged on.
+    ///
     /// Dirty positions are tracked by `(key, replica)` identity so earlier
     /// mutations stay correct as later ones shift positions.
     fn stage_batch(&mut self, ops: &[Mutation]) -> Result<(Vec<usize>, usize), OwnerError> {
-        let mut dirty: std::collections::BTreeSet<(i64, u32)> = std::collections::BTreeSet::new();
+        let mut dirty: BTreeSet<(i64, u32)> = BTreeSet::new();
         let mut g_recomputed = 0usize;
         for op in ops {
             match op {
                 Mutation::Insert(record) => {
+                    let key = record.key(self.table.schema());
+                    if !self.domain.contains_key(key) {
+                        return Err(OwnerError::KeyOutOfDomain { key });
+                    }
                     let (g, roots) = self.materialize_record(record);
                     g_recomputed += 1;
                     let pos = self.table.insert(record.clone())?;
@@ -478,6 +558,10 @@ impl SignedTable {
                     replica,
                     record,
                 } => {
+                    let new_key = record.key(self.table.schema());
+                    if new_key != *key {
+                        return Err(OwnerError::UpdateChangesKey { key: *key, new_key });
+                    }
                     let Some(pos) = self.table.position_of(*key, *replica) else {
                         return Err(OwnerError::NoSuchRecord {
                             key: *key,
@@ -506,13 +590,14 @@ impl SignedTable {
     }
 
     /// Link digests for the given (sorted) chain positions, computed with
-    /// the bulk [`crate::gdigest::link_digests_run`] sliding window over
-    /// each contiguous run — every `g` in a run is serialized once.
+    /// the bulk [`link_digests_run`] sliding window over each contiguous
+    /// run — every `g` in a run is serialized once, and the domain's edge
+    /// anchors flank a run that reaches a delimiter.
     fn links_for(&self, positions: &[usize]) -> Vec<Digest> {
-        let edge_l = crate::gdigest::edge_digest(&self.hasher, self.domain.l())
+        let edge_l = edge_digest(&self.hasher, self.domain.l())
             .as_bytes()
             .to_vec();
-        let edge_u = crate::gdigest::edge_digest(&self.hasher, self.domain.u())
+        let edge_u = edge_digest(&self.hasher, self.domain.u())
             .as_bytes()
             .to_vec();
         let last = self.entries.len() - 1;
@@ -543,183 +628,88 @@ impl SignedTable {
             run.push(&prev);
             run.extend(encoded.iter().map(Vec::as_slice));
             run.push(&next);
-            out.extend(crate::gdigest::link_digests_run(&self.hasher, &run));
+            out.extend(link_digests_run(&self.hasher, &run));
             i = j + 1;
         }
         out
     }
 
-    /// Publisher-side batch application: replays a logged batch *without
-    /// the signing key*, splicing in the owner-provided signatures after
-    /// verifying them against the link digests recomputed from local state.
-    /// A tampered log record — flipped payload bytes, a forged signature,
-    /// a wrong position set — is rejected with a typed error.
-    ///
-    /// `ops` must be in canonical order (as emitted by
-    /// [`Owner::apply_batch`]); `resigned` must list `(chain position,
-    /// signature)` in chain order for exactly the dirtied positions.
-    ///
-    /// Every signature is verified by itself against its own link digest.
-    /// A condensed-RSA aggregate (Section 5.2) is deliberately *not* used
-    /// here: it only checks the product of the signatures, so it accepts
-    /// two signatures swapped between their positions (or `σ_i·r`,
-    /// `σ_j·r⁻¹`), and a record accepted here is persisted and fanned out.
-    ///
-    /// All or nothing: the batch is staged on a copy (which shares all it
-    /// does not touch) and swapped in once every check has passed, so an
-    /// `Err` leaves the table exactly as it was.
-    pub fn replay_batch(
-        &mut self,
-        ops: &[Mutation],
-        resigned: &[(u32, Signature)],
-    ) -> Result<(), OwnerError> {
-        self.prevalidate_records(ops)?;
-        self.validate_batch(ops)?;
-        let mut staged = self.clone();
-        let (positions, _) = staged.stage_batch(ops)?;
-        if resigned.len() != positions.len()
-            || resigned
-                .iter()
-                .zip(&positions)
-                .any(|((p, _), &want)| *p as usize != want)
-        {
-            return Err(OwnerError::ResignSetMismatch {
-                expected: positions.len(),
-                got: resigned.len(),
-            });
-        }
-        let links = staged.links_for(&positions);
-        for ((pos, sig), link) in resigned.iter().zip(&links) {
-            if !staged.public_key.verify(&staged.hasher, link, sig) {
-                return Err(OwnerError::ResignatureInvalid {
-                    chain_pos: *pos as usize,
-                });
+    /// `(chain position, signature)` for each of the sorted `positions`,
+    /// from `source`: the one step in which builds and batches differ by
+    /// where their signatures come from.
+    fn signatures(
+        &self,
+        positions: &[usize],
+        source: Signatures<'_>,
+    ) -> Result<Vec<(u32, Signature)>, OwnerError> {
+        let signatures = match source {
+            Signatures::Sign(keypair) => {
+                let links = self.links_for(positions);
+                par::concat(par::map_chunks(
+                    links.len(),
+                    SIGN_SPLIT,
+                    par::workers(),
+                    |r| {
+                        links[r]
+                            .iter()
+                            .map(|link| keypair.sign(&self.hasher, link))
+                            .collect::<Vec<_>>()
+                    },
+                ))
             }
-        }
-        for (pos, sig) in resigned {
-            let pos = *pos as usize;
-            staged.entries[pos].signature = sig.clone();
-            staged
-                .sig_index
-                .insert(staged.tree_key_at(pos), sig.clone());
-        }
-        *self = staged;
-        Ok(())
+            Signatures::Supplied(signatures) => {
+                if signatures.len() != positions.len() {
+                    return Err(OwnerError::SignatureCount {
+                        expected: positions.len(),
+                        got: signatures.len(),
+                    });
+                }
+                signatures
+            }
+            Signatures::Checked(resigned) => {
+                if resigned.len() != positions.len()
+                    || resigned
+                        .iter()
+                        .zip(positions)
+                        .any(|((p, _), &want)| *p as usize != want)
+                {
+                    return Err(OwnerError::ResignSetMismatch {
+                        expected: positions.len(),
+                        got: resigned.len(),
+                    });
+                }
+                let links = self.links_for(positions);
+                for ((pos, sig), link) in resigned.iter().zip(&links) {
+                    if !self.public_key.verify(&self.hasher, link, sig) {
+                        return Err(OwnerError::ResignatureInvalid {
+                            chain_pos: *pos as usize,
+                        });
+                    }
+                }
+                return Ok(resigned.to_vec());
+            }
+        };
+        Ok(positions
+            .iter()
+            .map(|&p| p as u32)
+            .zip(signatures)
+            .collect())
     }
 
-    /// Puts a signed table together from its parts, indexing every
-    /// signature under its `(K, replica)`.
-    fn assemble(
-        table: Table,
-        domain: Domain,
-        config: SchemeConfig,
-        hasher: Hasher,
-        radix: Option<Radix>,
-        entries: Vec<SignedEntry>,
-        public_key: PublicKey,
-    ) -> SignedTable {
-        let mut st = SignedTable {
-            table,
-            domain,
-            config,
-            hasher,
-            radix,
-            entries: entries.into(),
-            sig_index: BPlusTree::new(64),
-            public_key,
-        };
-        let mut sig_index = BPlusTree::new(64);
-        for (pos, entry) in st.entries.iter().enumerate() {
-            sig_index.insert(st.tree_key_at(pos), entry.signature.clone());
+    /// Writes `(chain position, signature)` pairs into the chain entries
+    /// and the signature index.
+    fn install(&mut self, signed: &[(u32, Signature)]) {
+        for (pos, sig) in signed {
+            let pos = *pos as usize;
+            self.entries[pos].signature = sig.clone();
+            self.sig_index.insert(self.tree_key_at(pos), sig.clone());
         }
-        st.sig_index = sig_index;
-        st
     }
 }
 
 /// The data owner: holds the signing keypair.
 pub struct Owner {
     keypair: Keypair,
-}
-
-impl SignedTable {
-    /// Publisher-side reconstruction from disseminated parts: the owner
-    /// ships only the data and the `n + 2` signatures (Figure 3); the
-    /// publisher recomputes every digest itself and — since it should not
-    /// serve data it cannot prove — audits the chain against the owner's
-    /// public key.
-    ///
-    /// `signatures` must cover chain positions `0..=n+1` in order.
-    pub fn from_parts(
-        table: Table,
-        domain: Domain,
-        config: SchemeConfig,
-        signatures: Vec<Signature>,
-        public_key: PublicKey,
-    ) -> Result<Self, OwnerError> {
-        let hasher = config.hasher();
-        let radix = match config.mode {
-            Mode::Conceptual => None,
-            Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
-        };
-        for row in table.iter() {
-            let k = row.record.key(table.schema());
-            if !domain.contains_key(k) {
-                return Err(OwnerError::KeyOutOfDomain { key: k });
-            }
-        }
-        let n = table.len();
-        if signatures.len() != n + 2 {
-            return Err(OwnerError::SignatureCount {
-                expected: n + 2,
-                got: signatures.len(),
-            });
-        }
-        let schema = table.schema().clone();
-        let mut entries = Vec::with_capacity(n + 2);
-        for (pos, signature) in signatures.into_iter().enumerate() {
-            let (g, roots) = if pos == 0 {
-                (
-                    g_of_delimiter(
-                        &hasher,
-                        &config,
-                        radix.as_ref(),
-                        &domain,
-                        domain.left_delimiter(),
-                    ),
-                    None,
-                )
-            } else if pos == n + 1 {
-                (
-                    g_of_delimiter(
-                        &hasher,
-                        &config,
-                        radix.as_ref(),
-                        &domain,
-                        domain.right_delimiter(),
-                    ),
-                    None,
-                )
-            } else {
-                materialize_record(
-                    &hasher,
-                    &config,
-                    radix.as_ref(),
-                    &domain,
-                    &schema,
-                    &table.row(pos - 1).record,
-                )
-            };
-            entries.push(SignedEntry {
-                g,
-                roots,
-                signature,
-            });
-        }
-        Ok(SignedTable::assemble(
-            table, domain, config, hasher, radix, entries, public_key,
-        ))
-    }
 }
 
 impl Owner {
@@ -744,213 +734,39 @@ impl Owner {
         domain: Domain,
         config: SchemeConfig,
     ) -> Result<SignedTable, OwnerError> {
-        let hasher = config.hasher();
-        let radix = match config.mode {
-            Mode::Conceptual => None,
-            Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
-        };
-        // Validate all keys before doing any crypto work.
-        for row in table.iter() {
-            let k = row.record.key(table.schema());
-            if !domain.contains_key(k) {
-                return Err(OwnerError::KeyOutOfDomain { key: k });
-            }
-        }
-
-        let n = table.len();
-        let schema = table.schema().clone();
-        let workers = par::workers();
-        // Materialize g for all chain positions 0..=n+1 on the available
-        // cores.
-        let delimiter = |key| g_of_delimiter(&hasher, &config, radix.as_ref(), &domain, key);
-        let material = |pos: usize| match pos {
-            0 => (delimiter(domain.left_delimiter()), None),
-            _ if pos == n + 1 => (delimiter(domain.right_delimiter()), None),
-            _ => materialize_record(
-                &hasher,
-                &config,
-                radix.as_ref(),
-                &domain,
-                &schema,
-                &table.row(pos - 1).record,
-            ),
-        };
-        let materials = par::concat(par::map_chunks(n + 2, SIGN_SPLIT, workers, |r| {
-            r.map(&material).collect::<Vec<_>>()
-        }));
-
-        // Link digests over the whole chain in one bulk pass: each `g` is
-        // serialized once and the edge anchors flank the run, instead of
-        // re-encoding every neighbour triple.
-        let edge_l = crate::gdigest::edge_digest(&hasher, domain.l())
-            .as_bytes()
-            .to_vec();
-        let edge_u = crate::gdigest::edge_digest(&hasher, domain.u())
-            .as_bytes()
-            .to_vec();
-        let encoded: Vec<Vec<u8>> = materials.iter().map(|(g, _)| g.to_bytes()).collect();
-        let mut run: Vec<&[u8]> = Vec::with_capacity(n + 4);
-        run.push(&edge_l);
-        run.extend(encoded.iter().map(Vec::as_slice));
-        run.push(&edge_u);
-        let links: Vec<Digest> = crate::gdigest::link_digests_run(&hasher, &run);
-
-        let signatures = par::concat(par::map_chunks(n + 2, SIGN_SPLIT, workers, |r| {
-            links[r]
-                .iter()
-                .map(|link| self.keypair.sign(&hasher, link))
-                .collect::<Vec<_>>()
-        }));
-
-        let entries: Vec<SignedEntry> = materials
-            .into_iter()
-            .zip(signatures)
-            .map(|((g, roots), signature)| SignedEntry {
-                g,
-                roots,
-                signature,
-            })
-            .collect();
-
-        Ok(SignedTable::assemble(
+        SignedTable::build(
             table,
             domain,
             config,
-            hasher,
-            radix,
-            entries,
             self.keypair.public().clone(),
-        ))
-    }
-
-    /// Re-signs the given chain positions in place, updating the B+-tree.
-    fn resign(&self, st: &mut SignedTable, positions: &[usize]) {
-        for &pos in positions {
-            let link = st.link_at(pos);
-            let sig = self.keypair.sign(&st.hasher, &link);
-            st.entries[pos].signature = sig.clone();
-            st.sig_index.insert(st.tree_key_at(pos), sig);
-        }
-    }
-
-    /// Inserts a record, re-signing the record and its two neighbours
-    /// (Section 6.3: like updating a doubly-linked list).
-    pub fn insert_record(
-        &self,
-        st: &mut SignedTable,
-        record: Record,
-    ) -> Result<UpdateReport, OwnerError> {
-        let key = record.key(st.table.schema());
-        if !st.domain.contains_key(key) {
-            return Err(OwnerError::KeyOutOfDomain { key });
-        }
-        st.sig_index.stats().reset();
-        let (g, roots) = st.materialize_record(&record);
-        let pos = st.table.insert(record)?;
-        let cp = pos + 1;
-        // Placeholder signature replaced by resign() below.
-        let placeholder = st.entries[0].signature.clone();
-        st.entries.insert(
-            cp,
-            SignedEntry {
-                g,
-                roots,
-                signature: placeholder,
-            },
-        );
-        self.resign(st, &[cp - 1, cp, cp + 1]);
-        Ok(UpdateReport {
-            signatures_recomputed: 3,
-            g_recomputed: 1,
-            index_leaves_touched: st.sig_index.stats().leaves_visited(),
-            index_nodes_touched: st.sig_index.stats().nodes_visited(),
-        })
-    }
-
-    /// Deletes `(key, replica)`, re-signing the two now-adjacent
-    /// neighbours.
-    pub fn delete_record(
-        &self,
-        st: &mut SignedTable,
-        key: i64,
-        replica: u32,
-    ) -> Result<UpdateReport, OwnerError> {
-        let Some(pos) = st.table.position_of(key, replica) else {
-            return Err(OwnerError::NoSuchRecord { key, replica });
-        };
-        st.sig_index.stats().reset();
-        st.table.remove_at(pos);
-        let cp = pos + 1;
-        st.entries.remove(cp);
-        st.sig_index.remove((key, replica));
-        self.resign(st, &[cp - 1, cp]);
-        Ok(UpdateReport {
-            signatures_recomputed: 2,
-            g_recomputed: 0,
-            index_leaves_touched: st.sig_index.stats().leaves_visited(),
-            index_nodes_touched: st.sig_index.stats().nodes_visited(),
-        })
-    }
-
-    /// Replaces the non-key attributes of `(key, replica)`, re-signing the
-    /// record and its two neighbours.
-    pub fn update_record(
-        &self,
-        st: &mut SignedTable,
-        key: i64,
-        replica: u32,
-        new_record: Record,
-    ) -> Result<UpdateReport, OwnerError> {
-        let Some(pos) = st.table.position_of(key, replica) else {
-            return Err(OwnerError::NoSuchRecord { key, replica });
-        };
-        if new_record.key(st.table.schema()) != key {
-            // Key changes relocate the record: delete + insert.
-            let d = self.delete_record(st, key, replica)?;
-            let i = self.insert_record(st, new_record)?;
-            return Ok(UpdateReport {
-                signatures_recomputed: d.signatures_recomputed + i.signatures_recomputed,
-                g_recomputed: d.g_recomputed + i.g_recomputed,
-                index_leaves_touched: d.index_leaves_touched + i.index_leaves_touched,
-                index_nodes_touched: d.index_nodes_touched + i.index_nodes_touched,
-            });
-        }
-        st.sig_index.stats().reset();
-        let (g, roots) = st.materialize_record(&new_record);
-        st.table.update_in_place(pos, new_record)?;
-        let cp = pos + 1;
-        st.entries[cp].g = g;
-        st.entries[cp].roots = roots;
-        self.resign(st, &[cp - 1, cp, cp + 1]);
-        Ok(UpdateReport {
-            signatures_recomputed: 3,
-            g_recomputed: 1,
-            index_leaves_touched: st.sig_index.stats().leaves_visited(),
-            index_nodes_touched: st.sig_index.stats().nodes_visited(),
-        })
+            Signatures::Sign(&self.keypair),
+        )
     }
 
     /// Incremental bulk ingest: applies a batch of `k` mutations to an
     /// `n`-row signed table, re-signing only the `O(k)` affected chain
     /// neighborhoods (each mutation dirties itself and its two neighbors;
-    /// adjacent mutations share neighborhoods). Link digests are computed
-    /// with the bulk `hash_triple_windows` sliding window per contiguous
-    /// dirty run — the same kernel `sign_table` uses for the full chain.
+    /// adjacent mutations share neighborhoods). A single insert, delete or
+    /// modify is a one-mutation batch: it re-signs three positions (two for
+    /// a delete).
     ///
     /// The batch is canonicalized first — key-changing updates decompose
     /// into delete + insert, then deletes, in-place updates, and inserts
     /// apply in that order, each sorted by key — and the canonical
     /// [`BatchReport::ops`] plus [`BatchReport::resigned`] are exactly what
-    /// an update-log record must carry for [`SignedTable::replay_batch`].
+    /// an update-log record must carry for [`SignedTable::replay_batch`],
+    /// which runs the same staging and link digests with checked signatures
+    /// in place of the key.
     ///
-    /// This is the owner-side path of the Section 6.3 churn experiment:
-    /// `baseline_compare` drives batches of scattered updates through
-    /// here into an `adp-store` log and tabulates the per-batch
+    /// This is the owner-side path of the Section 6.3 experiments:
+    /// `baseline_compare` drives its one-update cells and its churn batches
+    /// (through an `adp-store` log) through here and tabulates the
     /// re-signing and log traffic against the baselines' update costs
-    /// (`docs/EVALUATION.md` §"Update churn").
+    /// (`docs/EVALUATION.md`).
     ///
-    /// Validation happens before any mutation, so an `Err` leaves the
-    /// table untouched.
+    /// All or nothing: the batch is staged on a copy that is swapped in
+    /// only once every mutation is staged and signed, so an `Err` leaves
+    /// the table untouched.
     pub fn apply_batch(
         &self,
         st: &mut SignedTable,
@@ -958,16 +774,7 @@ impl Owner {
     ) -> Result<BatchReport, OwnerError> {
         st.prevalidate_records(&ops)?;
         let ops = canonicalize_batch(st.table.schema(), ops);
-        st.validate_batch(&ops)?;
-        let (positions, g_recomputed) = st.stage_batch(&ops)?;
-        let links = st.links_for(&positions);
-        let mut resigned = Vec::with_capacity(positions.len());
-        for (&pos, link) in positions.iter().zip(&links) {
-            let sig = self.keypair.sign(&st.hasher, link);
-            st.entries[pos].signature = sig.clone();
-            st.sig_index.insert(st.tree_key_at(pos), sig.clone());
-            resigned.push((pos as u32, sig));
-        }
+        let (resigned, g_recomputed) = st.apply(&ops, Signatures::Sign(&self.keypair))?;
         Ok(BatchReport {
             ops,
             signatures_recomputed: resigned.len(),
@@ -1108,6 +915,25 @@ mod tests {
         ])
     }
 
+    fn signed_figure1() -> SignedTable {
+        test_owner()
+            .sign_table(
+                figure1_table(),
+                Domain::new(0, 100_000),
+                SchemeConfig::default(),
+            )
+            .unwrap()
+    }
+
+    /// Applies one mutation as a one-mutation batch.
+    fn apply_one(st: &mut SignedTable, op: Mutation) -> Result<BatchReport, OwnerError> {
+        test_owner().apply_batch(st, vec![op])
+    }
+
+    fn delete(key: i64) -> Mutation {
+        Mutation::Delete { key, replica: 0 }
+    }
+
     #[test]
     fn sign_and_audit() {
         let owner = test_owner();
@@ -1168,16 +994,41 @@ mod tests {
     }
 
     #[test]
-    fn insert_resigns_three() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
+    fn from_parts_rebuilds_the_signed_chain() {
+        let st = signed_figure1();
+        let sigs: Vec<Signature> = (0..st.chain_len())
+            .map(|p| st.entry(p).signature.clone())
+            .collect();
+        let parts = |sigs: Vec<Signature>| {
+            SignedTable::from_parts(
+                st.table().clone(),
+                *st.domain(),
+                *st.config(),
+                sigs,
+                st.public_key().clone(),
             )
-            .unwrap();
-        let report = owner.insert_record(&mut st, rec(9, 5_000)).unwrap();
+        };
+        let rebuilt = parts(sigs.clone()).unwrap();
+        assert!(rebuilt.audit());
+        assert_eq!(sig_bytes_by_key(&rebuilt), sig_bytes_by_key(&st));
+        assert!((0..st.chain_len()).all(|p| rebuilt.g_bytes(p) == st.g_bytes(p)));
+        assert_eq!(
+            parts(sigs[1..].to_vec()).unwrap_err(),
+            OwnerError::SignatureCount {
+                expected: 7,
+                got: 6
+            }
+        );
+        // Taken as supplied: a swapped pair loads, and only the audit sees it.
+        let mut swapped = sigs;
+        swapped.swap(1, 2);
+        assert!(!parts(swapped).unwrap().audit());
+    }
+
+    #[test]
+    fn insert_resigns_three() {
+        let mut st = signed_figure1();
+        let report = apply_one(&mut st, Mutation::Insert(rec(9, 5_000))).unwrap();
         assert_eq!(report.signatures_recomputed, 3);
         assert_eq!(report.g_recomputed, 1);
         assert_eq!(st.len(), 6);
@@ -1188,16 +1039,9 @@ mod tests {
 
     #[test]
     fn insert_at_extremes() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
-            )
-            .unwrap();
-        owner.insert_record(&mut st, rec(9, 2)).unwrap(); // smallest legal key
-        owner.insert_record(&mut st, rec(10, 99_998)).unwrap(); // largest legal key
+        let mut st = signed_figure1();
+        apply_one(&mut st, Mutation::Insert(rec(9, 2))).unwrap(); // smallest legal key
+        apply_one(&mut st, Mutation::Insert(rec(10, 99_998))).unwrap(); // largest legal key
         assert!(st.audit());
         assert_eq!(st.key_at(1), 2);
         assert_eq!(st.key_at(st.chain_len() - 2), 99_998);
@@ -1205,15 +1049,8 @@ mod tests {
 
     #[test]
     fn insert_duplicate_key_gets_replica() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
-            )
-            .unwrap();
-        owner.insert_record(&mut st, rec(9, 3500)).unwrap();
+        let mut st = signed_figure1();
+        apply_one(&mut st, Mutation::Insert(rec(9, 3500))).unwrap();
         assert!(st.audit());
         assert_eq!(st.tree_key_at(2), (3500, 0));
         assert_eq!(st.tree_key_at(3), (3500, 1));
@@ -1221,76 +1058,68 @@ mod tests {
 
     #[test]
     fn delete_resigns_two() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
-            )
-            .unwrap();
-        let report = owner.delete_record(&mut st, 8010, 0).unwrap();
+        let mut st = signed_figure1();
+        let report = apply_one(&mut st, delete(8010)).unwrap();
         assert_eq!(report.signatures_recomputed, 2);
+        assert_eq!(report.g_recomputed, 0);
         assert_eq!(st.len(), 4);
         assert!(st.audit(), "chain must remain verifiable after delete");
         assert!(matches!(
-            owner.delete_record(&mut st, 8010, 0),
+            apply_one(&mut st, delete(8010)),
             Err(OwnerError::NoSuchRecord { .. })
         ));
     }
 
     #[test]
     fn delete_first_and_last() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
-            )
-            .unwrap();
-        owner.delete_record(&mut st, 2000, 0).unwrap();
-        owner.delete_record(&mut st, 25_000, 0).unwrap();
+        let mut st = signed_figure1();
+        apply_one(&mut st, delete(2000)).unwrap();
+        apply_one(&mut st, delete(25_000)).unwrap();
         assert!(st.audit());
         assert_eq!(st.len(), 3);
     }
 
     #[test]
     fn update_in_place_resigns_three() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
-            )
-            .unwrap();
+        let mut st = signed_figure1();
         let new_rec = Record::new(vec![
             Value::Int(1),
             Value::from("D2"),
             Value::Int(8010),
             Value::Int(7),
         ]);
-        let report = owner.update_record(&mut st, 8010, 0, new_rec).unwrap();
+        let report = apply_one(
+            &mut st,
+            Mutation::Update {
+                key: 8010,
+                replica: 0,
+                record: new_rec,
+            },
+        )
+        .unwrap();
         assert_eq!(report.signatures_recomputed, 3);
+        assert_eq!(report.g_recomputed, 1);
         assert!(st.audit());
         assert_eq!(st.table().row(2).record.get(1), &Value::from("D2"));
     }
 
     #[test]
     fn update_with_key_change_relocates() {
-        let owner = test_owner();
-        let mut st = owner
-            .sign_table(
-                figure1_table(),
-                Domain::new(0, 100_000),
-                SchemeConfig::default(),
-            )
-            .unwrap();
-        let report = owner
-            .update_record(&mut st, 8010, 0, rec(1, 30_000))
-            .unwrap();
+        let mut st = signed_figure1();
+        let report = apply_one(
+            &mut st,
+            Mutation::Update {
+                key: 8010,
+                replica: 0,
+                record: rec(1, 30_000),
+            },
+        )
+        .unwrap();
         assert_eq!(report.signatures_recomputed, 5); // 2 delete + 3 insert
+        assert_eq!(
+            report.ops,
+            vec![delete(8010), Mutation::Insert(rec(1, 30_000))]
+        );
         assert!(st.audit());
         assert_eq!(st.key_at(st.chain_len() - 2), 30_000);
     }
@@ -1306,12 +1135,20 @@ mod tests {
         let mut st = owner
             .sign_table(t, Domain::new(0, 100_000), SchemeConfig::default())
             .unwrap();
-        let report = owner
-            .update_record(&mut st, 10 + 250 * 3, 0, rec(250, 10 + 250 * 3))
-            .unwrap();
+        st.sig_index().stats().reset();
+        apply_one(
+            &mut st,
+            Mutation::Update {
+                key: 10 + 250 * 3,
+                replica: 0,
+                record: rec(250, 10 + 250 * 3),
+            },
+        )
+        .unwrap();
         // 3 index writes, each descending height-many nodes; leaves should
         // be a small constant, not O(n) or O(log n)·digest-path like MHTs.
-        assert!(report.index_leaves_touched <= 6, "{report:?}");
+        let leaves = st.sig_index().stats().leaves_visited();
+        assert!((1..=6).contains(&leaves), "{leaves} leaves");
     }
 
     #[test]
@@ -1416,16 +1253,12 @@ mod tests {
 
     #[test]
     fn apply_batch_matches_sequential_updates_byte_for_byte() {
-        // FDH-RSA signing is deterministic, so the batch path and the
-        // one-at-a-time path must land on identical signature bytes.
+        // FDH-RSA signing is deterministic, so one batch, the same changes
+        // as one-mutation batches, and a fresh signing of the final table
+        // must all land on identical signature bytes.
         let owner = test_owner();
-        let signed = |t: Table| {
-            owner
-                .sign_table(t, Domain::new(0, 100_000), SchemeConfig::default())
-                .unwrap()
-        };
-        let mut batch_st = signed(figure1_table());
-        let mut seq_st = signed(figure1_table());
+        let mut batch_st = signed_figure1();
+        let mut seq_st = signed_figure1();
 
         let report = owner
             .apply_batch(
@@ -1433,19 +1266,24 @@ mod tests {
                 vec![
                     Mutation::Insert(rec(9, 5_000)),
                     Mutation::Insert(rec(10, 5_500)),
-                    Mutation::Delete {
-                        key: 8_010,
-                        replica: 0,
-                    },
+                    delete(8_010),
                 ],
             )
             .unwrap();
         // Canonical order is deletes then inserts by key.
-        owner.delete_record(&mut seq_st, 8_010, 0).unwrap();
-        owner.insert_record(&mut seq_st, rec(9, 5_000)).unwrap();
-        owner.insert_record(&mut seq_st, rec(10, 5_500)).unwrap();
+        apply_one(&mut seq_st, delete(8_010)).unwrap();
+        apply_one(&mut seq_st, Mutation::Insert(rec(9, 5_000))).unwrap();
+        apply_one(&mut seq_st, Mutation::Insert(rec(10, 5_500))).unwrap();
+        let fresh = owner
+            .sign_table(
+                batch_st.table().clone(),
+                Domain::new(0, 100_000),
+                SchemeConfig::default(),
+            )
+            .unwrap();
 
         assert_eq!(sig_bytes_by_key(&batch_st), sig_bytes_by_key(&seq_st));
+        assert_eq!(sig_bytes_by_key(&batch_st), sig_bytes_by_key(&fresh));
         assert!(report.signatures_recomputed < batch_st.chain_len());
     }
 
@@ -1509,11 +1347,17 @@ mod tests {
             .apply_batch(&mut st, vec![Mutation::Insert(rec(9, 2_000_000))])
             .unwrap_err();
         assert!(matches!(err, OwnerError::KeyOutOfDomain { key: 2_000_000 }));
+        // The second delete of one record fails after the first is staged.
+        let err = owner
+            .apply_batch(&mut st, vec![delete(3_500), delete(3_500)])
+            .unwrap_err();
+        assert!(matches!(err, OwnerError::NoSuchRecord { key: 3_500, .. }));
         assert_eq!(
             sig_bytes_by_key(&st),
             before,
             "failed batch must be a no-op"
         );
+        assert_eq!(st.len(), 5);
         assert!(st.audit());
     }
 

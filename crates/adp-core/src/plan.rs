@@ -12,7 +12,7 @@
 //! cover (evaluated locally over *verified* rows, so completeness still
 //! transfers) and the aggregate, computed client-side per Section 4.2.
 
-use crate::client::{AggregateKind, AggregateValue};
+use crate::client::{fold_aggregate, AggregateKind, AggregateValue};
 use crate::costmodel::{self, CostParams};
 use crate::domain::Domain;
 use crate::errors::VerifyError;
@@ -1320,17 +1320,9 @@ impl PhysicalPlan {
                                 }
                             }
                         }
-                        match kind {
-                            AggregateKind::Count => unreachable!(),
-                            AggregateKind::Sum => AggregateValue::Sum(vals.iter().sum()),
-                            AggregateKind::Min => AggregateValue::Min(vals.iter().min().copied()),
-                            AggregateKind::Max => AggregateValue::Max(vals.iter().max().copied()),
-                            AggregateKind::Avg => AggregateValue::Avg(if vals.is_empty() {
-                                None
-                            } else {
-                                Some(vals.iter().sum::<i64>() as f64 / vals.len() as f64)
-                            }),
-                        }
+                        let column = self.columns.get(slot).unwrap_or(&a.label);
+                        fold_aggregate(kind, column, &vals)
+                            .map_err(|e| PlanError::Unsupported(e.to_string()))?
                     }
                 };
                 Some((a.label.clone(), value))

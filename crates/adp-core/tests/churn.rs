@@ -1,13 +1,16 @@
-//! Sustained-churn stress: interleave owner updates (insert / delete /
+//! Sustained-churn stress: interleave owner batches (insert / delete /
 //! modify / key-moving updates) with publisher queries and user
 //! verification, continuously. Guards the incremental re-signing logic
-//! (Section 6.3) against drift: after every batch the chain must audit and
-//! every query must verify and agree with a trusted reference evaluation.
+//! (Section 6.3) against drift: after every batch the chain must equal a
+//! fresh signing of the same rows, a publisher replaying the batch must
+//! land on the same bytes, and every query must verify and agree with a
+//! trusted reference evaluation.
 
 use adp_core::prelude::*;
 use adp_relation::{Column, KeyRange, Record, Schema, SelectQuery, Table, Value, ValueType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 fn owner() -> &'static Owner {
@@ -28,6 +31,32 @@ fn schema() -> Schema {
     )
 }
 
+/// Everything a signed table holds per chain position — `g` bytes, rep
+/// roots, signature bytes — and its whole signature index.
+type ChainBytes = (
+    Vec<(Vec<u8>, Option<Vec<u8>>, Vec<u8>)>,
+    Vec<((i64, u32), Vec<u8>)>,
+);
+
+fn chain_bytes(st: &SignedTable) -> ChainBytes {
+    let entries = (0..st.chain_len())
+        .map(|p| {
+            let entry = st.entry(p);
+            let roots = entry
+                .roots
+                .map(|(up, down)| [up.as_bytes(), down.as_bytes()].concat());
+            (st.g_bytes(p), roots, entry.signature.to_bytes())
+        })
+        .collect();
+    let mut index = Vec::new();
+    st.sig_index().range_for_each(
+        std::ops::Bound::Unbounded,
+        std::ops::Bound::Unbounded,
+        |k, sig| index.push((k, sig.to_bytes())),
+    );
+    (entries, index)
+}
+
 #[test]
 fn chain_survives_sustained_churn() {
     let o = owner();
@@ -38,62 +67,76 @@ fn chain_survives_sustained_churn() {
             .unwrap();
     }
     let domain = Domain::new(0, 2_048);
-    let mut st = o.sign_table(t, domain, SchemeConfig::default()).unwrap();
+    let config = SchemeConfig::default();
+    let mut st = o.sign_table(t, domain, config).unwrap();
+    let mut publisher_st = st.clone();
     let cert = o.certificate(&st);
 
     for round in 0..12 {
-        // A batch of random mutations.
+        // A batch of six random mutations, each delete or update on a
+        // row no other mutation of the batch touches.
+        let mut ops = Vec::new();
+        let mut touched = BTreeSet::new();
+        let mut target = |rng: &mut StdRng| loop {
+            let pos = rng.gen_range(0..st.len());
+            if touched.insert(pos) {
+                let row = st.table().row(pos);
+                break (row.record.key(st.table().schema()), row.replica);
+            }
+        };
         for _ in 0..6 {
             match rng.gen_range(0..4) {
                 0 => {
                     // Insert at a random legal key (duplicates welcome).
                     let k = rng.gen_range(domain.key_min()..=domain.key_max());
-                    o.insert_record(&mut st, Record::new(vec![Value::Int(k), Value::Int(round)]))
-                        .unwrap();
+                    ops.push(Mutation::Insert(Record::new(vec![
+                        Value::Int(k),
+                        Value::Int(round),
+                    ])));
                 }
-                1 if st.len() > 10 => {
+                1 if st.len() > 10 + ops.len() => {
                     // Delete a random row.
-                    let pos = rng.gen_range(0..st.len());
-                    let (k, r) = {
-                        let row = st.table().row(pos);
-                        (row.record.key(st.table().schema()), row.replica)
-                    };
-                    o.delete_record(&mut st, k, r).unwrap();
+                    let (key, replica) = target(&mut rng);
+                    ops.push(Mutation::Delete { key, replica });
                 }
                 2 => {
                     // In-place attribute update.
-                    let pos = rng.gen_range(0..st.len());
-                    let (k, r) = {
-                        let row = st.table().row(pos);
-                        (row.record.key(st.table().schema()), row.replica)
-                    };
-                    o.update_record(
-                        &mut st,
-                        k,
-                        r,
-                        Record::new(vec![Value::Int(k), Value::Int(round + 100)]),
-                    )
-                    .unwrap();
+                    let (key, replica) = target(&mut rng);
+                    ops.push(Mutation::Update {
+                        key,
+                        replica,
+                        record: Record::new(vec![Value::Int(key), Value::Int(round + 100)]),
+                    });
                 }
                 _ => {
-                    // Key-moving update (delete + insert path).
-                    let pos = rng.gen_range(0..st.len());
-                    let (k, r) = {
-                        let row = st.table().row(pos);
-                        (row.record.key(st.table().schema()), row.replica)
-                    };
+                    // Key-moving update (decomposed into delete + insert).
+                    let (key, replica) = target(&mut rng);
                     let new_k = rng.gen_range(domain.key_min()..=domain.key_max());
-                    o.update_record(
-                        &mut st,
-                        k,
-                        r,
-                        Record::new(vec![Value::Int(new_k), Value::Int(round + 200)]),
-                    )
-                    .unwrap();
+                    ops.push(Mutation::Update {
+                        key,
+                        replica,
+                        record: Record::new(vec![Value::Int(new_k), Value::Int(round + 200)]),
+                    });
                 }
             }
         }
+        let report = o.apply_batch(&mut st, ops).unwrap();
         assert!(st.audit(), "chain must audit after round {round}");
+
+        // The batch lands on exactly the chain a fresh signing of the same
+        // rows produces, and a publisher replaying it on the same bytes.
+        let fresh = o.sign_table(st.table().clone(), domain, config).unwrap();
+        assert!(
+            chain_bytes(&st) == chain_bytes(&fresh),
+            "round {round}: batch differs from a fresh signing"
+        );
+        publisher_st
+            .replay_batch(&report.ops, &report.resigned)
+            .unwrap();
+        assert!(
+            chain_bytes(&publisher_st) == chain_bytes(&st),
+            "round {round}: replay differs from the owner's batch"
+        );
 
         // Random queries verified against a reference evaluation.
         let publisher = Publisher::new(&st);
@@ -136,7 +179,8 @@ fn churn_down_to_empty_and_back() {
             let row = st.table().row(0);
             (row.record.key(st.table().schema()), row.replica)
         };
-        o.delete_record(&mut st, k, r).unwrap();
+        o.apply_batch(&mut st, vec![Mutation::Delete { key: k, replica: r }])
+            .unwrap();
     }
     assert!(st.audit());
     let query = SelectQuery::range(KeyRange::all());
@@ -146,9 +190,12 @@ fn churn_down_to_empty_and_back() {
 
     // Refill.
     for i in 0..10i64 {
-        o.insert_record(
+        o.apply_batch(
             &mut st,
-            Record::new(vec![Value::Int(i * 7 + 3), Value::Int(1)]),
+            vec![Mutation::Insert(Record::new(vec![
+                Value::Int(i * 7 + 3),
+                Value::Int(1),
+            ]))],
         )
         .unwrap();
     }

@@ -27,7 +27,7 @@ use adp_core::plan::{
     Plan, SqlRows,
 };
 use adp_core::prelude::*;
-use adp_relation::check_referential_integrity;
+use adp_relation::{check_referential_integrity, Record, Value};
 use common::{dept_table, emp_by_dept};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -380,6 +380,53 @@ fn anchor_known_rows_survive_the_pipeline() {
             ["Text(\"A\")", "Text(\"C\")", "Text(\"D\")", "Text(\"E\")"]
         );
     }
+}
+
+/// The aggregate fold's written semantics, pinned through `finish` on
+/// hand-made verified rows: every aggregate over no rows, a SUM beyond
+/// `i64` as an error naming its column (not a wrapped total), and an AVG
+/// that accumulates wider than `i64`.
+#[test]
+fn aggregate_fold_semantics() {
+    let fix = fixture();
+    let plan = lower(&parse("SELECT SUM(id) FROM emp").unwrap(), &fix.catalog).unwrap();
+    let phys = physical(&plan, &fix.catalog).unwrap();
+    let slot = phys.aggregate.as_ref().unwrap().slot.unwrap();
+    let fold = |kind, ids: &[i64]| {
+        let mut p = phys.clone();
+        p.aggregate.as_mut().unwrap().kind = kind;
+        let rows = ids
+            .iter()
+            .map(|&id| {
+                let mut values = vec![Value::Int(0); p.columns.len()];
+                values[slot] = Value::Int(id);
+                Record::new(values)
+            })
+            .collect();
+        p.finish(rows).map(|out| out.aggregate.unwrap().1)
+    };
+    for (kind, empty) in [
+        (AggregateKind::Count, AggregateValue::Count(0)),
+        (AggregateKind::Sum, AggregateValue::Sum(0)),
+        (AggregateKind::Min, AggregateValue::Min(None)),
+        (AggregateKind::Max, AggregateValue::Max(None)),
+        (AggregateKind::Avg, AggregateValue::Avg(None)),
+    ] {
+        assert_eq!(fold(kind, &[]), Ok(empty), "{kind:?} over no rows");
+    }
+    let err = fold(AggregateKind::Sum, &[i64::MAX, 1]).unwrap_err();
+    assert!(
+        matches!(&err, PlanError::Unsupported(m) if m.contains("'id'") && m.contains("overflows")),
+        "{err}"
+    );
+    assert_eq!(
+        fold(AggregateKind::Sum, &[i64::MAX, 1, -1]),
+        Ok(AggregateValue::Sum(i64::MAX))
+    );
+    assert_eq!(
+        fold(AggregateKind::Avg, &[i64::MAX, i64::MAX]),
+        Ok(AggregateValue::Avg(Some(i64::MAX as f64)))
+    );
 }
 
 // ---------------------------------------------------------------------------

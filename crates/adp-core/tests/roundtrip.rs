@@ -373,18 +373,25 @@ fn empty_table_all_queries_empty() {
 fn verification_survives_updates() {
     let (mut st, _) = signed_figure1(SchemeConfig::default());
     let o = owner();
-    o.insert_record(
+    o.apply_batch(
         &mut st,
-        Record::new(vec![
+        vec![Mutation::Insert(Record::new(vec![
             Value::Int(9),
             Value::from("F"),
             Value::Int(5_000),
             Value::Int(1),
             Value::from(vec![9u8; 8]),
-        ]),
+        ]))],
     )
     .unwrap();
-    o.delete_record(&mut st, 12_100, 0).unwrap();
+    o.apply_batch(
+        &mut st,
+        vec![Mutation::Delete {
+            key: 12_100,
+            replica: 0,
+        }],
+    )
+    .unwrap();
     let cert = o.certificate(&st);
     let query = SelectQuery::range(KeyRange::less_than(10_000));
     let (result, report) = run(&st, &cert, &query).unwrap();

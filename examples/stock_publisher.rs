@@ -4,7 +4,7 @@
 //! check that no trading day was omitted and no price tampered with.
 //!
 //! Demonstrates: bulk publishing, range scans over a date key, a pk-fk join
-//! (prices ⋈ listings), an update stream (owner re-signs locally), and a
+//! (prices ⋈ listings), an update batch (owner re-signs locally), and a
 //! compromised proxy being caught.
 //!
 //! Run with: `cargo run --release --example stock_publisher`
@@ -132,20 +132,22 @@ fn main() {
 
     // ----- The owner appends a new trading day --------------------------
     let new_day = 750i64;
-    for ticker in 0..3i64 {
-        owner
-            .insert_record(
-                &mut signed,
-                Record::new(vec![
-                    Value::Int(new_day),
-                    Value::Int(ticker + 1),
-                    Value::Int(20_000 + ticker),
-                    Value::Int(123_456),
-                ]),
-            )
-            .unwrap();
-    }
-    println!("\nowner: appended day {new_day} (3 rows, 3 re-signs each — no root bottleneck)");
+    let appended = (0..3i64)
+        .map(|ticker| {
+            Mutation::Insert(Record::new(vec![
+                Value::Int(new_day),
+                Value::Int(ticker + 1),
+                Value::Int(20_000 + ticker),
+                Value::Int(123_456),
+            ]))
+        })
+        .collect();
+    let report = owner.apply_batch(&mut signed, appended).unwrap();
+    // The three rows are adjacent, so they share their neighbours.
+    println!(
+        "\nowner: appended day {new_day} (3 rows, {} re-signs for the batch — no root bottleneck)",
+        report.signatures_recomputed
+    );
     let publisher = Publisher::new(&signed);
     let q_latest = SelectQuery::range(KeyRange::at_least(new_day));
     let (rows, vo) = publisher.answer_select(&q_latest).unwrap();

@@ -86,21 +86,27 @@ fn lifecycle_with_access_control_and_updates() {
 
     // Round 2: updates happen; fresh queries still verify.
     for i in 0..20 {
-        o.insert_record(
+        o.apply_batch(
             &mut st,
-            Record::new(vec![
+            vec![Mutation::Insert(Record::new(vec![
                 Value::Int(1_000 + i),
                 Value::from(format!("new{i}")),
                 Value::Int(15_000 + i),
                 Value::Int(2),
-            ]),
+            ]))],
         )
         .unwrap();
     }
     let victim_key = st.table().row(10).record.key(st.table().schema());
     let victim_replica = st.table().row(10).replica;
-    o.delete_record(&mut st, victim_key, victim_replica)
-        .unwrap();
+    o.apply_batch(
+        &mut st,
+        vec![Mutation::Delete {
+            key: victim_key,
+            replica: victim_replica,
+        }],
+    )
+    .unwrap();
     assert!(st.audit());
 
     let publisher = Publisher::new(&st);
