@@ -343,20 +343,6 @@ pub fn verify_range(
     }
 }
 
-/// Extracts the in-range rows from a verified expanded answer (what the
-/// user actually wanted).
-pub fn strip_expansion(key_index: usize, range: &KeyRange, rows: &[Record]) -> Vec<Record> {
-    rows.iter()
-        .filter(|r| {
-            r.get(key_index)
-                .as_int()
-                .map(|k| range.contains(k))
-                .unwrap_or(false)
-        })
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,8 +388,6 @@ mod tests {
         // Expanded: rows 40..130 (boundary tuples at 40 and 130).
         assert_eq!(rows.first().unwrap().get(0), &Value::Int(40));
         assert_eq!(rows.last().unwrap().get(0), &Value::Int(130));
-        let stripped = strip_expansion(0, &range, &rows);
-        assert_eq!(stripped.len(), 8); // 50..=120
         assert_eq!(
             mht.disclosure_beyond_query(&range, &rows)
                 .boundary_rows_exposed,

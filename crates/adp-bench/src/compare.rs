@@ -216,12 +216,6 @@ impl ChainScheme {
         ChainScheme { st, cert, owner }
     }
 
-    /// The signed table (for the churn driver, which moves it into a
-    /// durable store).
-    pub fn into_signed_table(self) -> SignedTable {
-        self.st
-    }
-
     /// Replaces the record at `pos` in place as a one-mutation
     /// `Owner::apply_batch`, and counts the signature B+-tree leaves the
     /// batch touched.
@@ -715,7 +709,7 @@ fn run_paper(grid: &PaperGrid, samples: Option<usize>) -> Results {
 /// Runs the whole grid. `timing = false` is the `--check` path: every
 /// deterministic cell is still derived (and every answer still verified)
 /// but nothing is measured.
-pub fn run_grid(grid: &Grid, timing: bool) -> Vec<Results> {
+fn run_grid(grid: &Grid, timing: bool) -> Vec<Results> {
     let owner = bench_owner_small();
     let kp = baseline_keypair();
     let hasher = Hasher::default();
@@ -826,14 +820,7 @@ pub fn run_grid(grid: &Grid, timing: bool) -> Vec<Results> {
         .collect();
 
     let chain_scheme = ChainScheme::publish(owner, churn_table.clone(), churn_domain);
-    churn_chain(
-        owner,
-        chain_scheme.into_signed_table(),
-        grid,
-        &keys,
-        timing,
-        &mut chain,
-    );
+    churn_chain(owner, chain_scheme.st, grid, &keys, timing, &mut chain);
     let mut s = MhtScheme::publish(&kp, hasher, churn_table.clone());
     churn_scheme(&mut s, grid, &keys, timing, &mut mht);
     let mut s = MaScheme::publish(&kp, hasher, churn_table.clone());
@@ -895,7 +882,7 @@ fn timing_json(res: &Results) -> String {
 }
 
 /// The full `BENCH_PR5.json` text.
-pub fn snapshot_json(grid: &Grid, results: &[Results], samples: usize) -> String {
+fn snapshot_json(grid: &Grid, results: &[Results], samples: usize) -> String {
     let mut s = String::from("{\n  \"schema_version\": 1,\n");
     s.push_str(&format!("  \"label\": \"{LABEL}\",\n"));
     s.push_str(&format!("  \"samples\": {samples},\n"));
@@ -917,7 +904,7 @@ pub fn snapshot_json(grid: &Grid, results: &[Results], samples: usize) -> String
 /// `baseline_compare:begin/end` markers of `docs/EVALUATION.md`,
 /// markers excluded). Deterministic cells only — timings never appear
 /// here, so the block is identical on every machine.
-pub fn doc_block(grid: &Grid, results: &[Results]) -> String {
+fn doc_block(grid: &Grid, results: &[Results]) -> String {
     let names = ["chain", "mht", "aggsig", "vbtree"];
     let mut s = String::new();
     s.push_str(&format!(

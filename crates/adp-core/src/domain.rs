@@ -35,12 +35,6 @@ impl Domain {
         Domain { l, u }
     }
 
-    /// A domain comfortably holding 32-bit keys (the paper's running
-    /// assumption: `m = log_B 2^32` for integer keys).
-    pub fn u32_keys() -> Self {
-        Domain::new(-2, (1i64 << 32) + 2)
-    }
-
     /// Lower bound `L` (exclusive for keys).
     pub fn l(&self) -> i64 {
         self.l

@@ -80,7 +80,7 @@ impl GDigest {
     }
 
     /// Appends [`Self::to_bytes`] to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.up.as_bytes());
         out.extend_from_slice(self.down.as_bytes());
         out.extend_from_slice(self.attrs.as_bytes());
@@ -332,7 +332,7 @@ pub fn entry_components(
 }
 
 /// Attribute leaf encoding: the canonical byte form of a value.
-pub fn attr_leaf_bytes(value: &Value) -> Vec<u8> {
+fn attr_leaf_bytes(value: &Value) -> Vec<u8> {
     value.encode()
 }
 
@@ -357,7 +357,7 @@ pub fn attr_tree(hasher: &Hasher, schema: &Schema, record: &Record) -> MerkleTre
 }
 
 /// The attribute digest of a delimiter pseudo-record.
-pub fn delimiter_attr_digest(hasher: &Hasher) -> Digest {
+fn delimiter_attr_digest(hasher: &Hasher) -> Digest {
     hasher.hash(HashDomain::Leaf, b"\x00__delimiter__")
 }
 

@@ -102,7 +102,7 @@ impl Catalog {
         self.tables.iter().find(|t| t.name == name)
     }
 
-    pub fn table_by_id(&self, id: u32) -> Option<&CatalogTable> {
+    fn table_by_id(&self, id: u32) -> Option<&CatalogTable> {
         self.tables.iter().find(|t| t.id == id)
     }
 

@@ -97,7 +97,7 @@ impl Radix {
 
     /// Reassembles a digit vector into its value (digits may exceed `B`;
     /// that is the point of non-canonical representations).
-    pub fn value_of(&self, digits: &[u32]) -> u64 {
+    fn value_of(&self, digits: &[u32]) -> u64 {
         let b = self.base as u128;
         let mut acc: u128 = 0;
         let mut pow: u128 = 1;
@@ -184,14 +184,6 @@ impl Radix {
         }
         unreachable!("the Lemma guarantees a valid representation exists for δ_c ≤ δ_t")
     }
-
-    /// User-side reconstruction of the digits of `Δ_t` from the canonical
-    /// digits of `δ_c` and the evidence digits `δ_e` (user computes
-    /// `Δ_{t,i} = δ_{e,i} + δ_{c,i}` by extending each chain).
-    pub fn target_digits(&self, evidence: &[u32], delta_c: u64) -> Vec<u32> {
-        let c = self.canonical(delta_c);
-        evidence.iter().zip(&c).map(|(e, c)| e + c).collect()
-    }
 }
 
 /// Which representation of `δ_t` the publisher steered the user toward.
@@ -205,6 +197,14 @@ pub enum ReprChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// User-side reconstruction of the digits of `Δ_t` from the canonical
+    /// digits of `δ_c` and the evidence digits `δ_e` (user computes
+    /// `Δ_{t,i} = δ_{e,i} + δ_{c,i}` by extending each chain).
+    fn target_digits(r: &Radix, evidence: &[u32], delta_c: u64) -> Vec<u32> {
+        let c = r.canonical(delta_c);
+        evidence.iter().zip(&c).map(|(e, c)| e + c).collect()
+    }
 
     #[test]
     fn radix_sizing() {
@@ -244,7 +244,7 @@ mod tests {
         let (choice, e) = r.select_representation(5555, 2828);
         assert_eq!(choice, ReprChoice::NonCanonical(2));
         assert_eq!(e, vec![7, 12, 6, 2]);
-        let target = r.target_digits(&e, 2828);
+        let target = target_digits(&r, &e, 2828);
         assert_eq!(target, vec![15, 14, 14, 4]);
         assert_eq!(r.value_of(&target), 5555);
     }
@@ -257,7 +257,7 @@ mod tests {
         let (choice, e) = r.select_representation(5555, 4321);
         assert_eq!(choice, ReprChoice::Canonical);
         assert_eq!(e, vec![4, 3, 2, 1]);
-        assert_eq!(r.target_digits(&e, 4321), vec![5, 5, 5, 5]);
+        assert_eq!(target_digits(&r, &e, 4321), vec![5, 5, 5, 5]);
     }
 
     #[test]
@@ -322,7 +322,7 @@ mod tests {
                         dt,
                         "B={base} δt={dt} δc={dc} choice={choice:?}"
                     );
-                    let target = r.target_digits(&e, dc);
+                    let target = target_digits(&r, &e, dc);
                     match choice {
                         ReprChoice::Canonical => {
                             assert_eq!(target, canon_t);

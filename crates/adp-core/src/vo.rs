@@ -211,18 +211,6 @@ impl QueryVO {
         crate::wire::encode_vo(self).len()
     }
 
-    /// Number of `Match` entries (must equal the result row count).
-    pub fn match_count(&self) -> usize {
-        match self {
-            QueryVO::Range(r) => r
-                .entries
-                .iter()
-                .filter(|e| matches!(e, EntryProof::Match { .. }))
-                .count(),
-            _ => 0,
-        }
-    }
-
     /// Total digests carried (for cost accounting against formula (4)).
     pub fn digest_count(&self) -> usize {
         fn boundary(b: &BoundaryProof) -> usize {

@@ -196,7 +196,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Decodes the canonical [`Value::encode`] form.
-pub fn decode_value(raw: &[u8]) -> Result<Value, WireError> {
+fn decode_value(raw: &[u8]) -> Result<Value, WireError> {
     let (&tag, payload) = raw.split_first().ok_or(WireError("empty value"))?;
     match tag {
         0x01 => {

@@ -52,17 +52,6 @@ impl BigUint {
         }
     }
 
-    /// From a u128.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut n = BigUint {
-            limbs: vec![lo, hi],
-        };
-        n.normalize();
-        n
-    }
-
     /// Interprets big-endian bytes.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
@@ -182,15 +171,6 @@ impl BigUint {
             return false;
         }
         (self.limbs[limb] >> (i % 64)) & 1 == 1
-    }
-
-    /// Returns `self` as u64 if it fits.
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
     }
 
     /// `self + other`.
@@ -422,16 +402,6 @@ impl BigUint {
     /// `(self * other) % modulus`.
     pub fn mul_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         self.mul(other).rem(modulus)
-    }
-
-    /// `(self + other) % modulus` (operands assumed reduced).
-    pub fn add_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
-        let s = self.add(other);
-        if s.cmp(modulus) == Ordering::Less {
-            s
-        } else {
-            s.sub(modulus)
-        }
     }
 
     /// Raw little-endian limbs (normalized; empty for zero).
@@ -712,14 +682,14 @@ mod tests {
     use rand::SeedableRng;
 
     fn b(v: u128) -> BigUint {
-        BigUint::from_u128(v)
+        BigUint::from_limbs(vec![v as u64, (v >> 64) as u64])
     }
 
     #[test]
     fn basic_construction() {
         assert!(BigUint::zero().is_zero());
         assert!(BigUint::one().is_one());
-        assert_eq!(BigUint::from_u64(42).to_u64(), Some(42));
+        assert_eq!(BigUint::from_u64(42).to_limbs(), vec![42]);
         assert_eq!(b(u128::MAX).bit_len(), 128);
     }
 

@@ -291,12 +291,6 @@ impl Hasher {
         self.digest_len
     }
 
-    /// Digest length in bits (the paper's `M_digest`).
-    #[inline]
-    pub fn digest_bits(&self) -> usize {
-        self.digest_len * 8
-    }
-
     /// Truncates a full SHA-256 output to this hasher's digest.
     #[inline]
     pub(crate) fn truncate(&self, full: [u8; 32]) -> Digest {

@@ -97,11 +97,6 @@ impl WireSchedule {
     pub fn clean() -> WireSchedule {
         WireSchedule::default()
     }
-
-    /// Total planned faults (refusal counts as one).
-    pub fn fault_count(&self) -> usize {
-        self.client_to_server.len() + self.server_to_client.len() + usize::from(self.refuse)
-    }
 }
 
 /// A seed-deterministic fault schedule. Expansion is pure: the same seed
@@ -121,16 +116,9 @@ pub struct FaultPlan {
     /// Upper bound (exclusive) on planned fault positions, so schedules
     /// hit realistic offsets for the traffic under test.
     horizon: u64,
-    /// Explicit disk faults: (write-op index, fault), checked before any
-    /// probabilistic schedule. This is how the torture tests pin a fault
-    /// to an exact operation.
+    /// Explicit disk faults: (write-op index, fault). This is how the
+    /// torture tests pin a fault to an exact operation.
     forced_disk: Vec<(u64, DiskFault)>,
-    /// Per-mille chance each write op within the first `faulty_ops`
-    /// draws a probabilistic disk fault.
-    disk_per_mille: u32,
-    /// Disk ops with index `>= faulty_ops` never draw probabilistic
-    /// faults (forced faults still apply).
-    faulty_ops: u64,
 }
 
 impl FaultPlan {
@@ -144,8 +132,6 @@ impl FaultPlan {
             refuse_per_mille: 150,
             horizon: 1 << 20,
             forced_disk: Vec::new(),
-            disk_per_mille: 0,
-            faulty_ops: 0,
         }
     }
 
@@ -157,8 +143,6 @@ impl FaultPlan {
             refuse_per_mille: 0,
             horizon: 1 << 20,
             forced_disk: Vec::new(),
-            disk_per_mille: 0,
-            faulty_ops: 0,
         }
     }
 
@@ -179,14 +163,6 @@ impl FaultPlan {
         self
     }
 
-    /// Enables probabilistic disk faults: each of the first `faulty_ops`
-    /// write-class operations faults with probability `per_mille`/1000.
-    pub fn with_disk_chaos(mut self, per_mille: u32, faulty_ops: u64) -> FaultPlan {
-        self.disk_per_mille = per_mille;
-        self.faulty_ops = faulty_ops;
-        self
-    }
-
     /// Forces `fault` at exactly the `op`-th write-class operation
     /// (0-based, counted across the [`crate::FaultyIo`] instance).
     pub fn force_disk(mut self, op: u64, fault: DiskFault) -> FaultPlan {
@@ -196,26 +172,10 @@ impl FaultPlan {
 
     /// The disk fault (if any) planned for write-class operation `op`.
     pub fn disk_fault(&self, op: u64) -> Option<DiskFault> {
-        if let Some(&(_, f)) = self.forced_disk.iter().find(|&&(at, _)| at == op) {
-            return Some(f);
-        }
-        if op >= self.faulty_ops || self.disk_per_mille == 0 {
-            return None;
-        }
-        let mut rng = Rng64::new(substream(self.seed, "disk", op));
-        if !rng.chance(self.disk_per_mille) {
-            return None;
-        }
-        Some(match rng.below(4) {
-            0 => DiskFault::FailFsync,
-            1 => DiskFault::ShortWrite {
-                keep: rng.below(256) as u32,
-            },
-            2 => DiskFault::Enospc,
-            _ => DiskFault::CrashHere {
-                keep: rng.below(256) as u32,
-            },
-        })
+        self.forced_disk
+            .iter()
+            .find(|&&(at, _)| at == op)
+            .map(|&(_, f)| f)
     }
 
     /// The wire schedule for the `conn`-th accepted connection (0-based).
@@ -282,6 +242,11 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// Total planned faults (refusal counts as one).
+    fn fault_count(s: &WireSchedule) -> usize {
+        s.client_to_server.len() + s.server_to_client.len() + usize::from(s.refuse)
+    }
+
     #[test]
     fn schedules_are_deterministic() {
         let a = FaultPlan::new(123);
@@ -298,9 +263,9 @@ mod tests {
     fn conns_past_the_cap_are_clean() {
         let plan = FaultPlan::new(9).with_faulty_conns(3);
         for conn in 3..40 {
-            assert_eq!(plan.wire_schedule(conn).fault_count(), 0);
+            assert_eq!(fault_count(&plan.wire_schedule(conn)), 0);
         }
-        let total: usize = (0..3).map(|c| plan.wire_schedule(c).fault_count()).sum();
+        let total: usize = (0..3).map(|c| fault_count(&plan.wire_schedule(c))).sum();
         assert!(total > 0, "chaos profile planned nothing for seed 9");
     }
 
@@ -311,17 +276,6 @@ mod tests {
         assert_eq!(plan.disk_fault(1), None);
         assert_eq!(plan.disk_fault(2), Some(DiskFault::Enospc));
         assert_eq!(plan.disk_fault(3), None);
-    }
-
-    #[test]
-    fn disk_chaos_respects_op_cap() {
-        let plan = FaultPlan::new(77).with_disk_chaos(1000, 5);
-        for op in 0..5 {
-            assert!(plan.disk_fault(op).is_some());
-        }
-        for op in 5..50 {
-            assert_eq!(plan.disk_fault(op), None);
-        }
     }
 
     #[test]

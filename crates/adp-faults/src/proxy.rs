@@ -1,7 +1,7 @@
 //! The socket-level fault proxy: a TCP forwarder that sits between a
 //! client and the server and perturbs the byte stream per
-//! [`FaultPlan`] — drops, stalls, stale duplicates, mid-frame closes,
-//! refusals, and an on-demand partition switch. The proxy is oblivious
+//! [`FaultPlan`] — drops, stalls, stale duplicates, mid-frame closes and
+//! refusals. The proxy is oblivious
 //! to the protocol on purpose: every fault manifests to the endpoints as
 //! exactly what a hostile network can do to a TCP connection.
 
@@ -31,8 +31,8 @@ impl ProxyStats {
         self.conns.load(Ordering::Relaxed)
     }
 
-    /// Connections dropped without forwarding (plan refusals and
-    /// partition-window arrivals).
+    /// Connections dropped without forwarding (plan refusals and failed
+    /// upstream dials).
     pub fn refused(&self) -> u64 {
         self.refused.load(Ordering::Relaxed)
     }
@@ -55,7 +55,6 @@ impl ProxyStats {
 pub struct FaultProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    partitioned: Arc<AtomicBool>,
     stats: Arc<ProxyStats>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
@@ -72,22 +71,16 @@ impl FaultProxy {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let partitioned = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ProxyStats::default());
         let accept_thread = {
-            let (stop, partitioned, stats) = (
-                Arc::clone(&stop),
-                Arc::clone(&partitioned),
-                Arc::clone(&stats),
-            );
+            let (stop, stats) = (Arc::clone(&stop), Arc::clone(&stats));
             thread::Builder::new()
                 .name("fault-proxy-accept".into())
-                .spawn(move || accept_loop(listener, upstream, plan, stop, partitioned, stats))?
+                .spawn(move || accept_loop(listener, upstream, plan, stop, stats))?
         };
         Ok(FaultProxy {
             addr,
             stop,
-            partitioned,
             stats,
             accept_thread: Some(accept_thread),
         })
@@ -101,14 +94,6 @@ impl FaultProxy {
     /// Live counters.
     pub fn stats(&self) -> &ProxyStats {
         &self.stats
-    }
-
-    /// Switches the partition on or off. While partitioned, established
-    /// connections are torn down and new ones are accepted and
-    /// immediately reset — the peer looks reachable at the TCP layer but
-    /// no byte crosses.
-    pub fn set_partitioned(&self, on: bool) {
-        self.partitioned.store(on, Ordering::SeqCst);
     }
 
     /// Stops the proxy and joins the accept thread.
@@ -135,7 +120,6 @@ fn accept_loop(
     upstream: SocketAddr,
     plan: FaultPlan,
     stop: Arc<AtomicBool>,
-    partitioned: Arc<AtomicBool>,
     stats: Arc<ProxyStats>,
 ) {
     while !stop.load(Ordering::SeqCst) {
@@ -149,7 +133,7 @@ fn accept_loop(
         };
         let conn = stats.conns.fetch_add(1, Ordering::Relaxed);
         let sched = plan.wire_schedule(conn);
-        if partitioned.load(Ordering::SeqCst) || sched.refuse {
+        if sched.refuse {
             stats.refused.fetch_add(1, Ordering::Relaxed);
             let _ = client.shutdown(Shutdown::Both);
             continue;
@@ -162,7 +146,7 @@ fn accept_loop(
                 continue;
             }
         };
-        spawn_pumps(client, server, sched, &stop, &partitioned, &stats);
+        spawn_pumps(client, server, sched, &stop, &stats);
     }
 }
 
@@ -171,7 +155,6 @@ fn spawn_pumps(
     server: TcpStream,
     sched: WireSchedule,
     stop: &Arc<AtomicBool>,
-    partitioned: &Arc<AtomicBool>,
     stats: &Arc<ProxyStats>,
 ) {
     let pairs = [
@@ -186,22 +169,20 @@ fn spawn_pumps(
         let (Ok(src), Ok(dst)) = (src, dst) else {
             return;
         };
-        let (stop, partitioned, stats) =
-            (Arc::clone(stop), Arc::clone(partitioned), Arc::clone(stats));
+        let (stop, stats) = (Arc::clone(stop), Arc::clone(stats));
         let _ = thread::Builder::new()
             .name("fault-proxy-pump".into())
-            .spawn(move || pump(src, dst, faults, stop, partitioned, stats));
+            .spawn(move || pump(src, dst, faults, stop, stats));
     }
 }
 
 /// Copies `src` → `dst`, applying `faults` at their planned positions in
-/// the *source* byte stream. Exits on EOF, error, stop, or partition.
+/// the *source* byte stream. Exits on EOF, error or stop.
 fn pump(
     mut src: TcpStream,
     mut dst: TcpStream,
     faults: Vec<WireFault>,
     stop: Arc<AtomicBool>,
-    partitioned: Arc<AtomicBool>,
     stats: Arc<ProxyStats>,
 ) {
     let _ = src.set_read_timeout(Some(Duration::from_millis(25)));
@@ -215,7 +196,7 @@ fn pump(
         let _ = dst.shutdown(Shutdown::Both);
     };
     loop {
-        if stop.load(Ordering::SeqCst) || partitioned.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) {
             close_both(&src, &dst);
             return;
         }
@@ -392,27 +373,6 @@ mod tests {
         assert!(res.is_ok() || res.is_err());
         assert!(sink.len() < 64, "close fault failed to truncate");
         assert!(proxy.stats().faults() >= 1);
-        proxy.stop();
-    }
-
-    #[test]
-    fn partition_resets_new_connections() {
-        let (upstream, _t) = echo_server();
-        let proxy = FaultProxy::start(upstream, FaultPlan::clean()).unwrap();
-        proxy.set_partitioned(true);
-        let mut c = TcpStream::connect(proxy.addr()).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let _ = c.write_all(b"hello?");
-        let mut sink = Vec::new();
-        let _ = c.read_to_end(&mut sink);
-        assert!(sink.is_empty(), "partitioned proxy forwarded bytes");
-        proxy.set_partitioned(false);
-        // Healed: traffic flows again.
-        let mut c = TcpStream::connect(proxy.addr()).unwrap();
-        c.write_all(b"back").unwrap();
-        let mut got = [0u8; 4];
-        c.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"back");
         proxy.stop();
     }
 

@@ -37,7 +37,7 @@ impl Role {
     }
 
     /// Name of this role's visibility column.
-    pub fn visibility_column(&self) -> String {
+    fn visibility_column(&self) -> String {
         format!("vis_{}", self.0)
     }
 }
@@ -77,7 +77,7 @@ impl AccessPolicy {
     }
 
     /// Policy lookup; unknown roles get allow-all.
-    pub fn for_role(&self, role: &Role) -> RolePolicy {
+    fn for_role(&self, role: &Role) -> RolePolicy {
         self.roles.get(role).cloned().unwrap_or_default()
     }
 

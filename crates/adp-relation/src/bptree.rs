@@ -7,8 +7,7 @@
 //! recompute a path of digests up to the root (a locking hot-spot).
 //!
 //! To let the evaluation quantify exactly that claim, the tree counts node
-//! visits ([`BPlusTree::stats`]) and can report which leaf a key resides in
-//! ([`BPlusTree::leaf_id_of`]).
+//! visits ([`BPlusTree::stats`]).
 //!
 //! Nodes are reference counted and a mutation copies only the nodes on its
 //! root path that another tree still shares (`Arc::make_mut`), so a clone
@@ -43,7 +42,7 @@ impl Clone for TreeStats {
 
 impl TreeStats {
     /// Total nodes (internal + leaf) touched since the last reset.
-    pub fn nodes_visited(&self) -> u64 {
+    fn nodes_visited(&self) -> u64 {
         self.nodes_visited.load(Ordering::Relaxed)
     }
 
@@ -502,30 +501,6 @@ impl<V> BPlusTree<V> {
         out
     }
 
-    /// Identifies the leaf containing `key` by the smallest key stored in
-    /// that leaf (a stable id as long as the leaf is not restructured).
-    /// Used by the update-locality benchmark to show that re-signing a
-    /// record and its neighbours touches at most two adjacent leaves.
-    pub fn leaf_id_of(&self, key: TreeKey) -> Option<TreeKey> {
-        let mut node = &*self.root;
-        loop {
-            self.stats.touch(node.is_leaf());
-            match node {
-                Node::Leaf { entries } => {
-                    return if entries.binary_search_by_key(&key, |(k, _)| *k).is_ok() {
-                        Some(entries[0].0)
-                    } else {
-                        None
-                    };
-                }
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| *k <= key);
-                    node = &children[idx];
-                }
-            }
-        }
-    }
-
     /// Checks structural invariants (sortedness, occupancy, separator
     /// consistency). Test helper; `O(n)`.
     pub fn check_invariants(&self) {
@@ -574,6 +549,27 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
+
+    /// Identifies the leaf containing `key` by the smallest key stored in
+    /// that leaf (a stable id as long as the leaf is not restructured).
+    fn leaf_id_of<V>(t: &BPlusTree<V>, key: TreeKey) -> Option<TreeKey> {
+        let mut node = &*t.root;
+        loop {
+            match node {
+                Node::Leaf { entries } => {
+                    return if entries.binary_search_by_key(&key, |(k, _)| *k).is_ok() {
+                        Some(entries[0].0)
+                    } else {
+                        None
+                    };
+                }
+                Node::Internal { keys, children } => {
+                    let idx = keys.partition_point(|k| *k <= key);
+                    node = &children[idx];
+                }
+            }
+        }
+    }
 
     #[test]
     fn insert_get_roundtrip() {
@@ -741,7 +737,7 @@ mod tests {
         for mid in 1..999i64 {
             let ids: Vec<_> = [(mid - 1, 0), (mid, 0), (mid + 1, 0)]
                 .iter()
-                .filter_map(|k| t.leaf_id_of(*k))
+                .filter_map(|k| leaf_id_of(&t, *k))
                 .collect();
             let mut distinct = ids.clone();
             distinct.dedup();

@@ -1,9 +1,11 @@
 //! Query abstract syntax: selection predicates, projections, range bounds,
-//! and the select / join query forms the paper's scheme supports
-//! (Section 4: σ, π, ⋈ with primary-key/foreign-key equi-joins and band
-//! joins, plus multipoint selections on non-key attributes).
+//! and the select query form the paper's scheme supports (Section 4: σ and
+//! π, plus multipoint selections on non-key attributes). `adp-core` builds
+//! its pk-fk and band joins from these parts.
 
+use crate::record::Record;
 use crate::schema::Schema;
+use crate::table::Table;
 use crate::value::Value;
 use std::fmt;
 use std::ops::Bound;
@@ -303,26 +305,17 @@ impl SelectQuery {
     }
 }
 
-/// A primary-key/foreign-key equi-join `R ⋈_{R.fk = S.pk} S` with optional
-/// selections on either side (Section 4.3).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinQuery {
-    /// Foreign-key column of the outer relation R (R's sort attribute).
-    pub fk_column: String,
-    /// Primary-key column of the inner relation S (S's sort attribute).
-    pub pk_column: String,
-    /// Selection on R's foreign key.
-    pub fk_range: KeyRange,
-    /// Projection over R's columns.
-    pub r_projection: Projection,
-    /// Projection over S's columns.
-    pub s_projection: Projection,
+/// Evaluates all of `filters` against a record.
+pub fn passes_filters(table: &Table, record: &Record, filters: &[Predicate]) -> bool {
+    filters
+        .iter()
+        .all(|p| p.eval(table.schema(), record.values()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, Schema};
+    use crate::schema::Column;
     use crate::value::ValueType;
 
     fn schema() -> Schema {
@@ -422,5 +415,74 @@ mod tests {
             q.projection,
             Projection::Columns(vec!["id".into(), "salary".into()])
         );
+    }
+
+    /// The paper's Figure 1 Employee table.
+    fn emp_table() -> Table {
+        let schema = Schema::new(
+            vec![
+                Column::new("id", ValueType::Int),
+                Column::new("name", ValueType::Text),
+                Column::new("salary", ValueType::Int),
+                Column::new("dept", ValueType::Int),
+            ],
+            "salary",
+        );
+        let mut t = Table::new("emp", schema);
+        for (id, name, sal, dept) in [
+            (5i64, "A", 2000i64, 1i64),
+            (2, "C", 3500, 2),
+            (1, "D", 8010, 1),
+            (4, "B", 12100, 3),
+            (3, "E", 25000, 2),
+        ] {
+            t.insert(Record::new(vec![
+                Value::Int(id),
+                Value::from(name),
+                Value::Int(sal),
+                Value::Int(dept),
+            ]))
+            .unwrap();
+        }
+        t
+    }
+
+    /// The publisher's selection: the key range on the sort order, then
+    /// `passes_filters`. Returns the matching ids and the positions inside
+    /// the range whose rows the filters removed.
+    fn select(t: &Table, q: &SelectQuery) -> (Vec<i64>, Vec<usize>) {
+        let (kept, filtered): (Vec<_>, Vec<_>) = t
+            .scan_range(q.range.lo, q.range.hi)
+            .partition(|(_, row)| passes_filters(t, &row.record, &q.filters));
+        let ids = kept
+            .iter()
+            .map(|(_, row)| row.record.get(0).as_int().unwrap())
+            .collect();
+        (ids, filtered.iter().map(|(pos, _)| *pos).collect())
+    }
+
+    #[test]
+    fn figure1_query() {
+        // SELECT * FROM Emp WHERE Salary < 10000
+        let q = SelectQuery::range(KeyRange::less_than(10_000));
+        assert_eq!(select(&emp_table(), &q), (vec![5, 2, 1], vec![]));
+    }
+
+    #[test]
+    fn figure1_multipoint_query() {
+        // SELECT * FROM Emp WHERE Salary < 10000 AND Dept = 1 (Section 4.4)
+        let q = SelectQuery::range(KeyRange::less_than(10_000)).filter(Predicate::new(
+            "dept",
+            CompareOp::Eq,
+            1i64,
+        ));
+        // [002, C, 3500, 2] at position 1 is inside the range but filtered.
+        assert_eq!(select(&emp_table(), &q), (vec![5, 1], vec![1]));
+    }
+
+    #[test]
+    fn empty_range() {
+        let q = SelectQuery::range(KeyRange::closed(4000, 8000));
+        assert_eq!(select(&emp_table(), &q), (vec![], vec![]));
     }
 }

@@ -33,11 +33,6 @@ impl Record {
         &self.values[index]
     }
 
-    /// Value by column name.
-    pub fn get_named<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a Value> {
-        schema.column_index(name).map(|i| &self.values[i])
-    }
-
     /// The key attribute value as an integer.
     pub fn key(&self, schema: &Schema) -> i64 {
         self.values[schema.key_index()]
@@ -113,8 +108,6 @@ mod tests {
         let r = rec();
         assert_eq!(r.key(&s), 2000);
         assert_eq!(r.get(0), &Value::Int(5));
-        assert_eq!(r.get_named(&s, "name"), Some(&Value::from("A")));
-        assert_eq!(r.get_named(&s, "missing"), None);
         assert_eq!(r.arity(), 3);
     }
 

@@ -259,6 +259,32 @@ impl fmt::Display for Table {
     }
 }
 
+/// Checks referential integrity of `r.fk ⊆ s.pk` (every fk value has a
+/// pk match and pk values are unique).
+pub fn check_referential_integrity(r: &Table, s: &Table) -> Result<(), String> {
+    // pk uniqueness: replica numbers beyond 0 mean duplicates.
+    for row in s.iter() {
+        if row.replica != 0 {
+            return Err(format!(
+                "primary key {} duplicated in {}",
+                row.record.key(s.schema()),
+                s.name()
+            ));
+        }
+    }
+    for row in r.iter() {
+        let fk = row.record.key(r.schema());
+        if s.position_of(fk, 0).is_none() {
+            return Err(format!(
+                "foreign key {fk} in {} has no match in {}",
+                r.name(),
+                s.name()
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,5 +406,57 @@ mod tests {
         t.insert(rec(1, 7)).unwrap();
         t.insert(rec(2, 3)).unwrap();
         assert_eq!(t.key_extent(), Some((3, 7)));
+    }
+
+    fn dept_table() -> Table {
+        let schema = Schema::new(
+            vec![
+                Column::new("dept", ValueType::Int),
+                Column::new("dname", ValueType::Text),
+            ],
+            "dept",
+        );
+        let mut t = Table::new("dept", schema);
+        for (d, n) in [(1i64, "eng"), (2, "sales"), (3, "hr")] {
+            t.insert(Record::new(vec![Value::Int(d), Value::from(n)]))
+                .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn referential_integrity_holds() {
+        let schema = Schema::new(
+            vec![
+                Column::new("id", ValueType::Int),
+                Column::new("dept", ValueType::Int),
+            ],
+            "dept",
+        );
+        let mut r = Table::new("emp_by_dept", schema);
+        for (id, d) in [(5i64, 1i64), (1, 1), (2, 2), (3, 2), (4, 3)] {
+            r.insert(Record::new(vec![Value::Int(id), Value::Int(d)]))
+                .unwrap();
+        }
+        check_referential_integrity(&r, &dept_table()).unwrap();
+    }
+
+    #[test]
+    fn referential_integrity_detects_orphan() {
+        let schema = Schema::new(vec![Column::new("dept", ValueType::Int)], "dept");
+        let mut r = Table::new("r", schema.clone());
+        r.insert(Record::new(vec![Value::Int(99)])).unwrap();
+        let s = dept_table();
+        assert!(check_referential_integrity(&r, &s).is_err());
+    }
+
+    #[test]
+    fn referential_integrity_detects_duplicate_pk() {
+        let r = dept_table();
+        let schema = Schema::new(vec![Column::new("dept", ValueType::Int)], "dept");
+        let mut s = Table::new("s", schema);
+        s.insert(Record::new(vec![Value::Int(1)])).unwrap();
+        s.insert(Record::new(vec![Value::Int(1)])).unwrap();
+        assert!(check_referential_integrity(&r, &s).is_err());
     }
 }

@@ -189,7 +189,7 @@ impl LogFollower {
     /// up on this connection. Self-healing loops want this much shorter
     /// than the default so a swallowed reply costs one backoff step, not
     /// thirty seconds.
-    pub fn connect_with_timeout(
+    fn connect_with_timeout(
         addr: impl ToSocketAddrs,
         table_id: u32,
         have: Option<u64>,

@@ -127,7 +127,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Parses the wire byte.
-    pub fn from_byte(b: u8) -> Option<ErrorCode> {
+    fn from_byte(b: u8) -> Option<ErrorCode> {
         Some(match b {
             1 => ErrorCode::BadFrame,
             2 => ErrorCode::UnknownTable,
@@ -444,13 +444,6 @@ impl From<io::Error> for ProtoError {
 impl From<WireError> for ProtoError {
     fn from(e: WireError) -> Self {
         ProtoError::Malformed(e)
-    }
-}
-
-impl ProtoError {
-    /// True when the peer closed the connection cleanly before a header.
-    pub fn is_eof(&self) -> bool {
-        matches!(self, ProtoError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof)
     }
 }
 

@@ -325,11 +325,6 @@ impl SignalFd {
         let signo = u32::from_ne_bytes(info[0..4].try_into().expect("4 bytes"));
         Ok(signo as i32)
     }
-
-    /// The raw fd (e.g. to register with an [`Epoll`]).
-    pub fn as_raw(&self) -> RawFd {
-        self.fd.as_raw_fd()
-    }
 }
 
 #[cfg(test)]

@@ -50,8 +50,19 @@ pub const LOCK_FILE: &str = "LOCK";
 /// unlink-vs-open race).
 #[derive(Debug)]
 struct DirLock {
-    /// Keeping the handle open keeps the lock held; dropping releases it.
-    _file: fs::File,
+    /// Keeping the handle open keeps the lock held.
+    file: fs::File,
+}
+
+/// Dropping unlocks explicitly rather than relying on the fd closing. The
+/// lock belongs to the open file description, and a child that another
+/// thread forks holds a duplicate of the fd until it execs: closing only
+/// this fd would leave the directory locked for that window, and a
+/// reopen of the just-dropped store would fail with `Locked`.
+impl Drop for DirLock {
+    fn drop(&mut self) {
+        let _ = self.file.unlock();
+    }
 }
 
 impl DirLock {
@@ -68,7 +79,7 @@ impl DirLock {
                 let _ = file.set_len(0);
                 let _ = write!(file, "{}", std::process::id());
                 let _ = file.sync_data();
-                Ok(DirLock { _file: file })
+                Ok(DirLock { file })
             }
             Err(std::fs::TryLockError::WouldBlock) => {
                 let holder = fs::read_to_string(&path)
@@ -132,16 +143,6 @@ impl Store {
         Store::create_inner(dir, st, base_seq, Arc::new(RealIo))
     }
 
-    /// [`Store::create_at`] with an explicit [`StoreIo`].
-    pub fn create_at_with_io(
-        dir: impl AsRef<Path>,
-        st: SignedTable,
-        base_seq: u64,
-        io: Arc<dyn StoreIo>,
-    ) -> Result<Store, StoreError> {
-        Store::create_inner(dir, st, base_seq, io)
-    }
-
     fn create_inner(
         dir: impl AsRef<Path>,
         st: SignedTable,
@@ -189,11 +190,7 @@ impl Store {
     /// writes) is re-created empty. Both recoveries only ever discard an
     /// *uncommitted* suffix — a record whose append never returned.
     pub fn open(dir: impl AsRef<Path>) -> Result<Store, StoreError> {
-        Store::open_with_io(dir, Arc::new(RealIo))
-    }
-
-    /// [`Store::open`] with an explicit [`StoreIo`] (fault injection).
-    pub fn open_with_io(dir: impl AsRef<Path>, io: Arc<dyn StoreIo>) -> Result<Store, StoreError> {
+        let io: Arc<dyn StoreIo> = Arc::new(RealIo);
         let dir = dir.as_ref().to_path_buf();
         let lock = DirLock::acquire(&dir)?;
         let snap_bytes = io.read(&dir.join(SNAPSHOT_FILE))?;

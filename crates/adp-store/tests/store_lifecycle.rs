@@ -13,8 +13,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
+use std::process::Command;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 
 fn test_owner() -> &'static Owner {
     static OWNER: OnceLock<Owner> = OnceLock::new();
@@ -417,6 +419,39 @@ fn single_writer_lock_enforced_and_released() {
     let store = Store::open(&dir).expect("a dead holder's lock file must not brick the store");
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn dropped_store_unlocks_while_another_thread_spawns_children() {
+    // A child forked by another thread holds a duplicate of the LOCK fd
+    // until it execs. Dropping the store must release the lock anyway,
+    // so an immediate reopen never sees `Locked`.
+    let dir = workdir("lock-spawn");
+    drop(Store::create(&dir, sign(6)).unwrap());
+    let stop = Arc::new(AtomicBool::new(false));
+    let spawner = {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let _ = Command::new("true").status();
+            }
+        })
+    };
+    let mut locked = 0;
+    for _ in 0..2_000 {
+        match Store::open(&dir) {
+            Ok(store) => drop(store),
+            Err(StoreError::Locked { .. }) => locked += 1,
+            Err(e) => panic!("reopen failed: {e:?}"),
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    spawner.join().unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(
+        locked, 0,
+        "{locked} of 2000 reopens found the dropped store still locked"
+    );
 }
 
 #[test]
