@@ -27,7 +27,6 @@ use crate::wire::{self, Reader, WireError, Writer};
 use adp_relation::{
     CompareOp, KeyRange, Predicate, Projection, Record, Schema, SelectQuery, Value,
 };
-use std::ops::Bound;
 
 // ---------------------------------------------------------------------------
 // Catalog
@@ -508,60 +507,6 @@ impl WirePlan {
     }
 }
 
-fn write_bound(w: &mut Writer, b: &Bound<i64>) {
-    match b {
-        Bound::Unbounded => w.u8(0),
-        Bound::Included(v) => {
-            w.u8(1);
-            w.i64(*v);
-        }
-        Bound::Excluded(v) => {
-            w.u8(2);
-            w.i64(*v);
-        }
-    }
-}
-
-fn read_bound(r: &mut Reader) -> Result<Bound<i64>, WireError> {
-    match r.u8()? {
-        0 => Ok(Bound::Unbounded),
-        1 => Ok(Bound::Included(r.i64()?)),
-        2 => Ok(Bound::Excluded(r.i64()?)),
-        _ => Err(WireError("bad bound tag")),
-    }
-}
-
-fn write_projection(w: &mut Writer, p: &Projection) {
-    match p {
-        Projection::All => w.u8(0),
-        Projection::Columns(cols) => {
-            w.u8(1);
-            w.u32(cols.len() as u32);
-            for c in cols {
-                w.bytes(c.as_bytes());
-            }
-        }
-    }
-}
-
-fn read_projection(r: &mut Reader) -> Result<Projection, WireError> {
-    match r.u8()? {
-        0 => Ok(Projection::All),
-        1 => {
-            let n = r.u32()? as usize;
-            let mut cols = r.vec_for(n, wire::MIN_BYTES_LEN);
-            for _ in 0..n {
-                let raw = r.bytes()?;
-                let s =
-                    String::from_utf8(raw.to_vec()).map_err(|_| WireError("non-utf8 column"))?;
-                cols.push(s);
-            }
-            Ok(Projection::Columns(cols))
-        }
-        _ => Err(WireError("bad projection tag")),
-    }
-}
-
 /// Encodes a wire plan (tag `1` = Select, `2` = PkFkJoin).
 pub fn encode_wire_plan(plan: &WirePlan) -> Vec<u8> {
     let mut w = Writer::new();
@@ -581,10 +526,10 @@ pub fn encode_wire_plan(plan: &WirePlan) -> Vec<u8> {
             w.u8(2);
             w.u32(*fk_table);
             w.u32(*pk_table);
-            write_bound(&mut w, &fk_range.lo);
-            write_bound(&mut w, &fk_range.hi);
-            write_projection(&mut w, fk_projection);
-            write_projection(&mut w, pk_projection);
+            wire::write_key_bound(&mut w, &fk_range.lo);
+            wire::write_key_bound(&mut w, &fk_range.hi);
+            wire::write_projection(&mut w, fk_projection);
+            wire::write_projection(&mut w, pk_projection);
         }
     }
     w.into_bytes()
@@ -602,10 +547,10 @@ pub fn decode_wire_plan(data: &[u8]) -> Result<WirePlan, WireError> {
         2 => {
             let fk_table = r.u32()?;
             let pk_table = r.u32()?;
-            let lo = read_bound(&mut r)?;
-            let hi = read_bound(&mut r)?;
-            let fk_projection = read_projection(&mut r)?;
-            let pk_projection = read_projection(&mut r)?;
+            let lo = wire::read_key_bound(&mut r)?;
+            let hi = wire::read_key_bound(&mut r)?;
+            let fk_projection = wire::read_projection(&mut r)?;
+            let pk_projection = wire::read_projection(&mut r)?;
             WirePlan::PkFkJoin {
                 fk_table,
                 pk_table,
@@ -1418,6 +1363,15 @@ mod tests {
         let mut trailing = encode_wire_plan(&plans[0]);
         trailing.push(0);
         assert!(decode_wire_plan(&trailing).is_err());
+        // A join plan's projection meets the same column cap as a select's.
+        let wide = WirePlan::PkFkJoin {
+            fk_table: 1,
+            pk_table: 2,
+            fk_range: KeyRange::all(),
+            fk_projection: Projection::Columns((0..4097).map(|i| format!("c{i}")).collect()),
+            pk_projection: Projection::All,
+        };
+        assert!(decode_wire_plan(&encode_wire_plan(&wide)).is_err());
     }
 
     #[test]

@@ -731,7 +731,7 @@ pub fn decode_records(data: &[u8]) -> Result<Vec<Record>, WireError> {
 
 // ---------------------------------------------------------------- queries
 
-fn write_key_bound(w: &mut Writer, b: &Bound<i64>) {
+pub(crate) fn write_key_bound(w: &mut Writer, b: &Bound<i64>) {
     match b {
         Bound::Unbounded => w.u8(0),
         Bound::Included(v) => {
@@ -745,7 +745,7 @@ fn write_key_bound(w: &mut Writer, b: &Bound<i64>) {
     }
 }
 
-fn read_key_bound(r: &mut Reader) -> Result<Bound<i64>, WireError> {
+pub(crate) fn read_key_bound(r: &mut Reader) -> Result<Bound<i64>, WireError> {
     Ok(match r.u8()? {
         0 => Bound::Unbounded,
         1 => Bound::Included(r.i64()?),
@@ -801,7 +801,13 @@ pub fn encode_query(query: &SelectQuery) -> Vec<u8> {
         w.u8(compare_op_tag(f.op));
         w.value(&f.value);
     }
-    match &query.projection {
+    write_projection(&mut w, &query.projection);
+    w.u8(query.distinct as u8);
+    w.into_bytes()
+}
+
+pub(crate) fn write_projection(w: &mut Writer, projection: &Projection) {
+    match projection {
         Projection::All => w.u8(0),
         Projection::Columns(cols) => {
             w.u8(1);
@@ -811,8 +817,27 @@ pub fn encode_query(query: &SelectQuery) -> Vec<u8> {
             }
         }
     }
-    w.u8(query.distinct as u8);
-    w.into_bytes()
+}
+
+pub(crate) fn read_projection(r: &mut Reader) -> Result<Projection, WireError> {
+    Ok(match r.u8()? {
+        0 => Projection::All,
+        1 => {
+            let nc = r.u32()? as usize;
+            if nc > 1 << 12 {
+                return Err(WireError("too many projected columns"));
+            }
+            let mut cols = r.vec_for(nc, MIN_BYTES_LEN);
+            for _ in 0..nc {
+                cols.push(
+                    String::from_utf8(r.bytes()?.to_vec())
+                        .map_err(|_| WireError("bad column name"))?,
+                );
+            }
+            Projection::Columns(cols)
+        }
+        _ => return Err(WireError("bad projection tag")),
+    })
 }
 
 /// Decodes a [`SelectQuery`], validating framing (a malicious client
@@ -841,24 +866,7 @@ fn read_query(r: &mut Reader) -> Result<SelectQuery, WireError> {
         let value = r.value()?;
         filters.push(Predicate { column, op, value });
     }
-    let projection = match r.u8()? {
-        0 => Projection::All,
-        1 => {
-            let nc = r.u32()? as usize;
-            if nc > 1 << 12 {
-                return Err(WireError("too many projected columns"));
-            }
-            let mut cols = r.vec_for(nc, MIN_BYTES_LEN);
-            for _ in 0..nc {
-                cols.push(
-                    String::from_utf8(r.bytes()?.to_vec())
-                        .map_err(|_| WireError("bad column name"))?,
-                );
-            }
-            Projection::Columns(cols)
-        }
-        _ => return Err(WireError("bad projection tag")),
-    };
+    let projection = read_projection(r)?;
     let distinct = match r.u8()? {
         0 => false,
         1 => true,

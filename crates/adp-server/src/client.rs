@@ -7,9 +7,8 @@
 //! authenticated channel) and treats every byte the server sends —
 //! result, VO, even frame structure — as adversarial.
 
-use crate::protocol::{
-    read_frame, write_frame, BatchItem, DeltaPiece, ErrorCode, Frame, ProtoError, StatsSnapshot,
-};
+use crate::link::{unexpected_reply, Link, ReplyError};
+use crate::protocol::{BatchItem, DeltaPiece, ErrorCode, Frame, ProtoError, StatsSnapshot};
 use crate::retry::RetryPolicy;
 use adp_core::client::{SessionStats, VerifiedResult};
 use adp_core::errors::VerifyError;
@@ -21,7 +20,7 @@ use adp_relation::{KeyRange, Record, SelectQuery};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::time::Duration;
 
 /// Why a remote call failed.
@@ -90,6 +89,16 @@ impl RemoteError {
 
 impl std::error::Error for RemoteError {}
 
+impl ReplyError for RemoteError {
+    fn refused(code: ErrorCode, message: String) -> Self {
+        RemoteError::Server { code, message }
+    }
+
+    fn unexpected(expected: &'static str) -> Self {
+        RemoteError::UnexpectedFrame(expected)
+    }
+}
+
 impl From<ProtoError> for RemoteError {
     fn from(e: ProtoError) -> Self {
         RemoteError::Proto(e)
@@ -123,10 +132,7 @@ pub const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 /// twice on the server, which is why only reads get the loop; fatal
 /// errors (server refusals, verification failures upstack) never retry.
 pub struct RemoteClient {
-    stream: TcpStream,
-    /// Resolved peer addresses, kept for reconnects.
-    addrs: Vec<SocketAddr>,
-    timeout: Option<Duration>,
+    link: Link,
     retry: RetryPolicy,
     retries: u64,
     reconnects: u64,
@@ -137,15 +143,8 @@ impl RemoteClient {
     /// [`DEFAULT_REPLY_TIMEOUT`]; adjust with [`RemoteClient::set_timeout`].
     /// No retries until a policy is mounted.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let stream = TcpStream::connect(&addrs[..])?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(DEFAULT_REPLY_TIMEOUT))?;
-        stream.set_write_timeout(Some(DEFAULT_REPLY_TIMEOUT))?;
         Ok(RemoteClient {
-            stream,
-            addrs,
-            timeout: Some(DEFAULT_REPLY_TIMEOUT),
+            link: Link::connect(addr, Some(DEFAULT_REPLY_TIMEOUT))?,
             retry: RetryPolicy::none(),
             retries: 0,
             reconnects: 0,
@@ -154,9 +153,7 @@ impl RemoteClient {
 
     /// Sets the per-operation socket timeout (`None` waits forever).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.timeout = timeout;
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        self.link.set_timeout(timeout)
     }
 
     /// Mounts a retry policy for the idempotent calls.
@@ -175,50 +172,25 @@ impl RemoteClient {
         self.reconnects
     }
 
-    /// Replaces the broken stream with a fresh connection.
-    fn reconnect(&mut self) -> io::Result<()> {
-        let stream = TcpStream::connect(&self.addrs[..])?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(self.timeout)?;
-        stream.set_write_timeout(self.timeout)?;
-        self.stream = stream;
-        self.reconnects += 1;
-        Ok(())
-    }
-
-    /// One request/response round-trip on the current stream.
-    fn call_once(&mut self, request: &Frame) -> Result<Frame, RemoteError> {
-        write_frame(&mut self.stream, request).map_err(ProtoError::Io)?;
-        Ok(read_frame(&mut self.stream)?)
-    }
-
-    /// A round-trip for an idempotent request: on a retryable failure,
-    /// sleeps the policy's backoff, reconnects, and tries again until the
-    /// budget runs out (the last error is returned). The request must be
-    /// safe to execute more than once server-side.
+    /// A round-trip for an idempotent request under the retry policy:
+    /// each retry reconnects first (a failed reconnect burns budget). The
+    /// request must be safe to execute more than once server-side.
     fn call(&mut self, request: &Frame) -> Result<Frame, RemoteError> {
-        let mut attempt = 0;
-        loop {
-            match self.call_once(request) {
-                Err(e) if e.is_retryable() && attempt < self.retry.max_retries => {
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    attempt += 1;
-                    self.retries += 1;
-                    // A failed reconnect leaves the old broken stream in
-                    // place; the next attempt fails fast and burns budget.
-                    let _ = self.reconnect();
-                }
-                other => return other,
+        self.retry.run(RemoteError::is_retryable, |attempt| {
+            if attempt > 0 {
+                self.retries += 1;
+                self.link.reconnect()?;
+                self.reconnects += 1;
             }
-        }
+            Ok(self.link.call(request)?)
+        })
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), RemoteError> {
         match self.call(&Frame::Ping)? {
             Frame::Pong => Ok(()),
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected Pong")),
+            other => Err(unexpected_reply(other, "expected Pong")),
         }
     }
 
@@ -226,8 +198,7 @@ impl RemoteClient {
     pub fn stats(&mut self) -> Result<StatsSnapshot, RemoteError> {
         match self.call(&Frame::StatsRequest)? {
             Frame::StatsResponse(s) => Ok(s),
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected StatsResponse")),
+            other => Err(unexpected_reply(other, "expected StatsResponse")),
         }
     }
 
@@ -264,8 +235,8 @@ impl RemoteClient {
             | (Frame::PlannedQuery { .. }, Frame::PlannedResponse { result, vo }) => {
                 Ok((result, vo))
             }
-            (_, Frame::Error { code, message }) => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame(
+            (_, other) => Err(unexpected_reply(
+                other,
                 "expected the response frame matching the query frame",
             )),
         }
@@ -294,8 +265,7 @@ impl RemoteClient {
                     })
                     .collect())
             }
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected BatchResponse")),
+            other => Err(unexpected_reply(other, "expected BatchResponse")),
         }
     }
 }
@@ -529,10 +499,8 @@ impl SqlSession {
 /// and bytes scale with what the batch dirtied, not with the subscription
 /// size (the `O(k)` update locality of Section 6.3, carried to the wire).
 pub struct RemoteSubscriber {
-    stream: TcpStream,
+    link: Link,
     cert: Certificate,
-    /// Resolved server addresses, kept for re-subscribes.
-    addrs: Vec<SocketAddr>,
     table_id: u32,
     sub_id: u32,
     retry: RetryPolicy,
@@ -592,14 +560,9 @@ impl RemoteSubscriber {
                 message: "subscribed range is empty under the table's domain".into(),
             });
         };
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| RemoteError::Proto(ProtoError::Io(e)))?
-            .collect();
         let mut sub = RemoteSubscriber {
-            stream: Self::connect_stream(&addrs)?,
+            link: Link::connect(addr, Some(DEFAULT_REPLY_TIMEOUT))?,
             cert,
-            addrs,
             table_id,
             sub_id,
             retry,
@@ -612,82 +575,33 @@ impl RemoteSubscriber {
             resyncs: 0,
             stats: SessionStats::default(),
         };
-        match sub.handshake(0) {
-            Ok(()) => Ok(sub),
-            Err(e) if e.is_retryable() && sub.retry.max_retries > 0 => {
-                sub.resubscribe(0)?;
-                Ok(sub)
-            }
-            Err(e) => Err(e),
+        let retry = sub.retry.clone();
+        retry.run(RemoteError::is_retryable, |attempt| {
+            sub.subscribe_attempt(attempt, 0)
+        })?;
+        Ok(sub)
+    }
+
+    /// Sends `Subscribe` and verifies the whole-range baseline, which must
+    /// carry an epoch no older than `min_epoch` nor than the mirror's. A
+    /// retry (`attempt > 0`) first reconnects, and its baseline counts as
+    /// a re-subscribe.
+    fn subscribe_attempt(&mut self, attempt: u32, min_epoch: u64) -> Result<u64, RemoteError> {
+        if attempt > 0 {
+            self.link.reconnect()?;
         }
-    }
-
-    fn connect_stream(addrs: &[SocketAddr]) -> Result<TcpStream, RemoteError> {
-        let stream =
-            TcpStream::connect(addrs).map_err(|e| RemoteError::Proto(ProtoError::Io(e)))?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(DEFAULT_REPLY_TIMEOUT))
-            .and_then(|()| stream.set_write_timeout(Some(DEFAULT_REPLY_TIMEOUT)))
-            .map_err(|e| RemoteError::Proto(ProtoError::Io(e)))?;
-        Ok(stream)
-    }
-
-    /// Sends `Subscribe` on the current stream and verifies the initial
-    /// full-range baseline, which must carry an epoch `>= min_epoch`.
-    fn handshake(&mut self, min_epoch: u64) -> Result<(), RemoteError> {
-        write_frame(
-            &mut self.stream,
-            &Frame::Subscribe {
-                sub_id: self.sub_id,
-                table_id: self.table_id,
-                query: SelectQuery::range(KeyRange::closed(self.lo, self.hi)),
-            },
-        )
-        .map_err(ProtoError::Io)?;
-        match read_frame(&mut self.stream)? {
+        let subscribe = Frame::Subscribe {
+            sub_id: self.sub_id,
+            table_id: self.table_id,
+            query: SelectQuery::range(KeyRange::closed(self.lo, self.hi)),
+        };
+        match self.link.call(&subscribe)? {
             frame @ Frame::DeltaVo { .. } => {
-                // Epoch floor checked *before* applying: a stale baseline
-                // (however well it verifies — it is a replay of a table
-                // state older than one the mirror already verified) must
-                // not touch the mirror at all.
-                if let Frame::DeltaVo { epoch, .. } = &frame {
-                    if *epoch < min_epoch {
-                        return Err(RemoteError::UnexpectedFrame(
-                            "re-subscribe baseline is older than the verified mirror",
-                        ));
-                    }
-                }
-                self.apply_delta_frame(frame, true)?;
-                Ok(())
+                self.apply_delta_frame(frame, min_epoch.max(self.epoch))?;
+                self.reconnects += u64::from(attempt > 0);
+                Ok(self.epoch)
             }
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected initial DeltaVo")),
-        }
-    }
-
-    /// Reconnects and re-subscribes under the retry budget: each attempt
-    /// opens a fresh connection and re-verifies a fresh whole-range
-    /// baseline no older than `min_epoch` (nor than the mirror's epoch).
-    fn resubscribe(&mut self, min_epoch: u64) -> Result<(), RemoteError> {
-        let floor = min_epoch.max(self.epoch);
-        let mut attempt = 0;
-        loop {
-            std::thread::sleep(self.retry.backoff(attempt));
-            let result = Self::connect_stream(&self.addrs).and_then(|stream| {
-                self.stream = stream;
-                self.handshake(floor)
-            });
-            match result {
-                Ok(()) => {
-                    self.reconnects += 1;
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() && attempt + 1 < self.retry.max_retries => {
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+            other => Err(unexpected_reply(other, "expected initial DeltaVo")),
         }
     }
 
@@ -747,48 +661,32 @@ impl RemoteSubscriber {
     /// Both return `Ok(Some(epoch))` for the re-verified baseline. Fatal
     /// errors (server refusals, verification failures) still surface.
     pub fn poll_delta(&mut self, timeout: Duration) -> Result<Option<u64>, RemoteError> {
-        match self.poll_delta_once(timeout) {
-            Err(e) if e.is_retryable() && self.retry.max_retries > 0 => {
-                self.resubscribe(self.epoch)?;
-                Ok(Some(self.epoch))
+        let retry = self.retry.clone();
+        let mut min_epoch = self.epoch;
+        retry.run(RemoteError::is_retryable, |attempt| {
+            if attempt > 0 {
+                return self.subscribe_attempt(attempt, min_epoch).map(Some);
             }
-            other => other,
-        }
-    }
-
-    fn poll_delta_once(&mut self, timeout: Duration) -> Result<Option<u64>, RemoteError> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        let frame = match read_frame(&mut self.stream) {
-            Ok(frame) => frame,
-            Err(ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        match frame {
-            frame @ Frame::DeltaVo { .. } => {
-                self.apply_delta_frame(frame, false)?;
-                Ok(Some(self.epoch))
-            }
-            Frame::ResyncRequired { sub_id, epoch } if sub_id == self.sub_id => {
+            match self.link.recv_within(Some(timeout))? {
+                None => Ok(None),
+                Some(frame @ Frame::DeltaVo { .. }) => {
+                    self.apply_delta_frame(frame, self.epoch)?;
+                    Ok(Some(self.epoch))
+                }
                 // The server terminated the subscription without shipping
                 // the delta for `epoch`. With no retry policy this is as
                 // far as a dumb client gets; a self-healing one re-
                 // subscribes for a baseline at least that fresh.
-                if self.retry.max_retries == 0 {
-                    return Err(RemoteError::UnexpectedFrame(
+                Some(Frame::ResyncRequired { sub_id, epoch }) if sub_id == self.sub_id => {
+                    self.resyncs += u64::from(retry.max_retries > 0);
+                    min_epoch = epoch;
+                    Err(RemoteError::UnexpectedFrame(
                         "server requires re-subscription (delta could not be shipped)",
-                    ));
+                    ))
                 }
-                self.resyncs += 1;
-                self.resubscribe(epoch)?;
-                Ok(Some(self.epoch))
+                Some(other) => Err(unexpected_reply(other, "expected pushed DeltaVo")),
             }
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected pushed DeltaVo")),
-        }
+        })
     }
 
     /// Cancels the subscription and drains the stream to the server's
@@ -796,40 +694,36 @@ impl RemoteSubscriber {
     /// already in flight. After the ack the server pushes nothing further
     /// for this `sub_id`.
     pub fn unsubscribe(mut self) -> Result<(), RemoteError> {
-        write_frame(
-            &mut self.stream,
-            &Frame::Unsubscribe {
-                sub_id: self.sub_id,
-            },
-        )
-        .map_err(ProtoError::Io)?;
+        let unsubscribe = Frame::Unsubscribe {
+            sub_id: self.sub_id,
+        };
+        let mut reply = self.link.call(&unsubscribe)?;
         loop {
-            match read_frame(&mut self.stream)? {
+            match reply {
                 Frame::DeltaVo { sub_id, pieces, .. }
                     if sub_id == self.sub_id && pieces.is_empty() =>
                 {
                     return Ok(());
                 }
-                frame @ Frame::DeltaVo { .. } => self.apply_delta_frame(frame, false)?,
+                frame @ Frame::DeltaVo { .. } => self.apply_delta_frame(frame, self.epoch)?,
                 Frame::ResyncRequired { sub_id, .. } if sub_id == self.sub_id => {
                     // The server already terminated the subscription on
                     // its own; the goal of unsubscribing is achieved.
                     return Ok(());
                 }
-                Frame::Error { code, message } => {
-                    return Err(RemoteError::Server { code, message })
-                }
-                _ => return Err(RemoteError::UnexpectedFrame("expected unsubscribe ack")),
+                other => return Err(unexpected_reply(other, "expected unsubscribe ack")),
             }
+            reply = self.link.recv()?;
         }
     }
 
-    /// Verifies and applies one `DeltaVo` frame. `initial` marks the
-    /// registration response, which sets the baseline epoch; pushed
-    /// deltas must carry an epoch `>=` the mirror's (equal is the benign
-    /// registration race — the same state verified twice — and re-merging
-    /// is idempotent; *lower* would be a replayed stale delta).
-    fn apply_delta_frame(&mut self, frame: Frame, initial: bool) -> Result<(), RemoteError> {
+    /// Verifies and applies one `DeltaVo` frame, whose epoch must be at
+    /// least `floor`. A pushed delta's floor is the mirror's epoch (equal
+    /// is the benign registration race — the same state verified twice —
+    /// and re-merging is idempotent); lower would replay a table state
+    /// older than one the mirror already verified, and is refused before
+    /// it touches the mirror.
+    fn apply_delta_frame(&mut self, frame: Frame, floor: u64) -> Result<(), RemoteError> {
         let Frame::DeltaVo {
             sub_id,
             epoch,
@@ -843,8 +737,10 @@ impl RemoteSubscriber {
                 "DeltaVo for a different sub_id",
             ));
         }
-        if !initial && epoch < self.epoch {
-            return Err(RemoteError::UnexpectedFrame("delta epoch went backwards"));
+        if epoch < floor {
+            return Err(RemoteError::UnexpectedFrame(
+                "delta epoch is older than the verified mirror",
+            ));
         }
         for piece in &pieces {
             self.apply_piece(piece)?;

@@ -16,7 +16,8 @@
 //! number of untrusted mirrors, one signing owner).
 
 use crate::client::DEFAULT_REPLY_TIMEOUT;
-use crate::protocol::{read_frame, write_frame, ErrorCode, Frame, ProtoError};
+use crate::link::{unexpected_reply, Link, ReplyError};
+use crate::protocol::{ErrorCode, Frame, ProtoError};
 use crate::retry::RetryPolicy;
 use crate::server::{ServerHandle, UpdateError};
 use adp_crypto::PublicKey;
@@ -25,7 +26,7 @@ use adp_store::log::decode_records;
 use adp_store::{Store, StoreError};
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::time::Duration;
 
@@ -129,6 +130,16 @@ impl FollowError {
 
 impl std::error::Error for FollowError {}
 
+impl ReplyError for FollowError {
+    fn refused(code: ErrorCode, message: String) -> Self {
+        FollowError::Server { code, message }
+    }
+
+    fn unexpected(expected: &'static str) -> Self {
+        FollowError::UnexpectedFrame(expected)
+    }
+}
+
 impl From<ProtoError> for FollowError {
     fn from(e: ProtoError) -> Self {
         FollowError::Proto(e)
@@ -168,7 +179,7 @@ pub enum FollowStart {
 /// One follower connection to an upstream publisher: the handshake plus a
 /// blocking stream of [`Frame::LogSegment`]s.
 pub struct LogFollower {
-    stream: TcpStream,
+    link: Link,
     table_id: u32,
 }
 
@@ -181,26 +192,21 @@ impl LogFollower {
         table_id: u32,
         have: Option<u64>,
     ) -> Result<(LogFollower, FollowStart), FollowError> {
-        Self::connect_with_timeout(addr, table_id, have, DEFAULT_REPLY_TIMEOUT)
+        Self::handshake(
+            Link::connect(addr, Some(DEFAULT_REPLY_TIMEOUT))?,
+            table_id,
+            have,
+        )
     }
 
-    /// [`LogFollower::connect`] with an explicit handshake patience: how
-    /// long to wait for the `LogSegment`/`Snapshot` reply before giving
-    /// up on this connection. Self-healing loops want this much shorter
-    /// than the default so a swallowed reply costs one backoff step, not
-    /// thirty seconds.
-    fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
+    /// The `FollowLog` handshake on a fresh link, whose timeout bounds the
+    /// wait for the `LogSegment`/`Snapshot` reply.
+    fn handshake(
+        mut link: Link,
         table_id: u32,
         have: Option<u64>,
-        reply_timeout: Duration,
     ) -> Result<(LogFollower, FollowStart), FollowError> {
-        let mut stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_write_timeout(Some(reply_timeout))?;
-        stream.set_read_timeout(Some(reply_timeout))?;
-        write_frame(&mut stream, &Frame::FollowLog { table_id, have }).map_err(ProtoError::Io)?;
-        let start = match read_frame(&mut stream)? {
+        let start = match link.call(&Frame::FollowLog { table_id, have })? {
             Frame::LogSegment {
                 table_id: tid,
                 records,
@@ -209,19 +215,19 @@ impl LogFollower {
                 table_id: tid,
                 snapshot,
             } if tid == table_id => FollowStart::Snapshot(snapshot),
-            Frame::Error { code, message } => return Err(FollowError::Server { code, message }),
-            _ => {
-                return Err(FollowError::UnexpectedFrame(
+            other => {
+                return Err(unexpected_reply(
+                    other,
                     "expected LogSegment or Snapshot for the followed table",
                 ))
             }
         };
-        Ok((LogFollower { stream, table_id }, start))
+        Ok((LogFollower { link, table_id }, start))
     }
 
     /// Sets the patience for the next live segment (`None` waits forever).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.link.set_timeout(timeout)
     }
 
     /// Blocks for the next live [`Frame::LogSegment`], returning its
@@ -229,14 +235,19 @@ impl LogFollower {
     /// upstream can no longer serve our position:
     /// [`FollowError::ResyncRequired`].
     pub fn next_segment(&mut self) -> Result<Vec<u8>, FollowError> {
-        match read_frame(&mut self.stream)? {
+        let frame = self.link.recv()?;
+        self.segment(frame)
+    }
+
+    fn segment(&self, frame: Frame) -> Result<Vec<u8>, FollowError> {
+        match frame {
             Frame::LogSegment {
                 table_id: tid,
                 records,
             } if tid == self.table_id => Ok(records),
             Frame::Snapshot { .. } => Err(FollowError::ResyncRequired),
-            Frame::Error { code, message } => Err(FollowError::Server { code, message }),
-            _ => Err(FollowError::UnexpectedFrame(
+            other => Err(unexpected_reply(
+                other,
                 "expected LogSegment for the followed table",
             )),
         }
@@ -275,10 +286,9 @@ pub struct ResilientFollower {
     conn: Option<LogFollower>,
     segment_timeout: Option<Duration>,
     handshake_timeout: Duration,
-    /// A handshake has succeeded at least once (later ones are
-    /// reconnects).
-    connected_once: bool,
-    reconnects: u64,
+    /// Handshakes that succeeded: every one after the first is a
+    /// reconnect.
+    handshakes: u64,
 }
 
 impl ResilientFollower {
@@ -296,8 +306,7 @@ impl ResilientFollower {
             conn: None,
             segment_timeout: Some(DEFAULT_REPLY_TIMEOUT),
             handshake_timeout: DEFAULT_REPLY_TIMEOUT,
-            connected_once: false,
-            reconnects: 0,
+            handshakes: 0,
         })
     }
 
@@ -317,7 +326,7 @@ impl ResilientFollower {
 
     /// Reconnections performed so far (the first connect is not one).
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.handshakes.saturating_sub(1)
     }
 
     /// Drops the current connection; the next
@@ -335,67 +344,35 @@ impl ResilientFollower {
     /// error, and a later call starts over.
     ///
     /// A read timeout (no segment arrived in the window) is returned as a
-    /// [`FollowError::Proto`] I/O error with kind
-    /// `WouldBlock`/`TimedOut`; callers polling a quiet upstream should
-    /// treat that as "no news", not as damage (the connection is kept).
+    /// [`FollowError::Proto`] I/O error with kind `TimedOut`; callers
+    /// polling a quiet upstream should treat that as "no news", not as
+    /// damage (the connection is kept).
     pub fn next_event(&mut self, have: Option<u64>) -> Result<FollowEvent, FollowError> {
-        let mut attempt = 0;
-        loop {
-            let had_conn = self.conn.is_some();
-            let result = self.step(have);
-            match result {
-                // A quiet live-segment window on an established stream is
-                // "no news", not damage: the connection is kept. A
-                // *handshake* timing out is damage (the reply should be
-                // prompt) and falls through to the retry arm below.
-                Err(e) if had_conn && is_timeout(&e) => return Err(e),
-                Ok(event) => return Ok(event),
-                Err(e) if e.is_retryable() && attempt < self.retry.max_retries => {
-                    self.conn = None;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
+        let retry = self.retry.clone();
+        let event = retry.run(FollowError::is_retryable, |_| match self.conn.take() {
+            // A quiet segment window is "no news", not damage: the
+            // connection is kept. Any error drops it.
+            Some(mut conn) => {
+                let frame = conn.link.recv_within(self.segment_timeout)?;
+                let records = frame.map(|frame| conn.segment(frame)).transpose()?;
+                self.conn = Some(conn);
+                Ok(records.map(FollowEvent::Segment))
             }
-        }
-    }
-
-    /// One attempt: handshake if disconnected (yielding the handshake's
-    /// backlog/snapshot), else read one live segment.
-    fn step(&mut self, have: Option<u64>) -> Result<FollowEvent, FollowError> {
-        match &mut self.conn {
+            // A handshake timing out is damage (the reply should be
+            // prompt) and costs a retry.
             None => {
-                let (mut follower, start) = LogFollower::connect_with_timeout(
-                    &self.addrs[..],
-                    self.table_id,
-                    have,
-                    self.handshake_timeout,
-                )?;
-                follower.set_timeout(self.segment_timeout)?;
-                if self.connected_once {
-                    self.reconnects += 1;
-                }
-                self.connected_once = true;
-                self.conn = Some(follower);
-                Ok(match start {
+                let link = Link::connect(&self.addrs[..], Some(self.handshake_timeout))?;
+                let (conn, start) = LogFollower::handshake(link, self.table_id, have)?;
+                self.handshakes += 1;
+                self.conn = Some(conn);
+                Ok(Some(match start {
                     FollowStart::Backlog(records) => FollowEvent::Backlog(records),
                     FollowStart::Snapshot(snapshot) => FollowEvent::Snapshot(snapshot),
-                })
+                }))
             }
-            Some(follower) => match follower.next_segment() {
-                Ok(records) => Ok(FollowEvent::Segment(records)),
-                Err(e) => Err(e),
-            },
-        }
+        })?;
+        event.ok_or_else(|| ProtoError::Io(io::ErrorKind::TimedOut.into()).into())
     }
-}
-
-/// Whether this error is a quiet read window elapsing rather than damage.
-fn is_timeout(e: &FollowError) -> bool {
-    matches!(e, FollowError::Proto(ProtoError::Io(io)) if io.kind() == io::ErrorKind::WouldBlock || io.kind() == io::ErrorKind::TimedOut)
 }
 
 /// Authenticates a bootstrap snapshot and persists it as a fresh mirror

@@ -75,6 +75,7 @@
 pub mod cache;
 pub mod client;
 pub mod follow;
+mod link;
 pub mod pool;
 pub mod protocol;
 mod reactor;

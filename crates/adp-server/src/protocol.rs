@@ -447,8 +447,10 @@ impl From<WireError> for ProtoError {
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Encodes a whole frame into one buffer: header, then payload. Refuses
+/// (with `InvalidData`) a payload past [`MAX_PAYLOAD`].
+pub(crate) fn frame_bytes(frame: &Frame) -> io::Result<Vec<u8>> {
+    let mut w = frame_writer();
     match frame {
         Frame::Ping | Frame::Pong | Frame::StatsRequest => {}
         Frame::QueryRequest { table_id, query } => {
@@ -558,7 +560,40 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             w.bytes(&encode_wire_plan(plan));
         }
     }
-    w.into_bytes()
+    seal(frame.type_byte(), w)
+}
+
+/// A writer whose first [`HEADER_LEN`] bytes are held for the header
+/// [`seal`] writes once the payload behind them is complete.
+fn frame_writer() -> Writer {
+    let mut w = Writer::new();
+    w.u64(0); // the HEADER_LEN (8) bytes
+    w
+}
+
+fn seal(type_byte: u8, w: Writer) -> io::Result<Vec<u8>> {
+    let mut frame = w.into_bytes();
+    let header = frame_header(type_byte, frame.len() - HEADER_LEN)?;
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    Ok(frame)
+}
+
+/// The 8-byte header of a frame whose payload is `payload_len` bytes.
+/// Refuses (with `InvalidData`) a payload past [`MAX_PAYLOAD`]: the
+/// length field would lie, and the receiver would reject it anyway.
+pub(crate) fn frame_header(type_byte: u8, payload_len: usize) -> io::Result<[u8; HEADER_LEN]> {
+    if payload_len as u64 > MAX_PAYLOAD as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame payload of {payload_len} bytes exceeds cap {MAX_PAYLOAD}"),
+        ));
+    }
+    let mut header = [0u8; HEADER_LEN];
+    header[0..2].copy_from_slice(&MAGIC);
+    header[2] = VERSION;
+    header[3] = type_byte;
+    header[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    Ok(header)
 }
 
 /// Validates a frame header, returning `(frame type, payload length)`.
@@ -736,19 +771,7 @@ pub fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError
 /// [`write_frame`] returns an error instead; the server additionally
 /// bounds answers before framing them.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    assert!(
-        payload.len() as u64 <= MAX_PAYLOAD as u64,
-        "frame payload of {} bytes exceeds MAX_PAYLOAD",
-        payload.len()
-    );
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(frame.type_byte());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame_bytes(frame).expect("frame payload exceeds MAX_PAYLOAD")
 }
 
 /// Decodes exactly one frame from a byte slice (the whole slice must be
@@ -765,29 +788,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, ProtoError> {
     decode_payload(type_byte, payload)
 }
 
-/// Writes one frame to a stream. Refuses (with `InvalidData`, before any
-/// byte is written, so the stream never desyncs) a frame whose payload
-/// exceeds [`MAX_PAYLOAD`] — the receiver would reject it anyway.
+/// Writes one frame to a stream, header and payload in one `write_all`
+/// (one segment under `TCP_NODELAY`, not two). Refuses (with
+/// `InvalidData`, before any byte is written, so the stream never
+/// desyncs) a frame whose payload exceeds [`MAX_PAYLOAD`] — the receiver
+/// would reject it anyway.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let payload = encode_payload(frame);
-    write_header(w, frame.type_byte(), payload.len())?;
-    w.write_all(&payload)?;
+    w.write_all(&frame_bytes(frame)?)?;
     w.flush()
-}
-
-fn write_header(w: &mut impl Write, type_byte: u8, payload_len: usize) -> io::Result<()> {
-    if payload_len as u64 > MAX_PAYLOAD as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame payload of {payload_len} bytes exceeds cap {MAX_PAYLOAD}"),
-        ));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[0..2].copy_from_slice(&MAGIC);
-    header[2] = VERSION;
-    header[3] = type_byte;
-    header[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    w.write_all(&header)
 }
 
 /// A borrowed batch-response item for [`write_batch_response`].
@@ -798,7 +806,7 @@ pub type BatchItemRef<'a> = Result<(&'a [u8], &'a [u8]), (ErrorCode, &'a str)>;
 /// `write_frame(&Frame::BatchResponse { .. })` with the corresponding
 /// owned items.
 pub fn write_batch_response(w: &mut impl Write, items: &[BatchItemRef<'_>]) -> io::Result<()> {
-    let mut payload = Writer::new();
+    let mut payload = frame_writer();
     payload.u32(items.len() as u32);
     for item in items {
         match item {
@@ -814,9 +822,7 @@ pub fn write_batch_response(w: &mut impl Write, items: &[BatchItemRef<'_>]) -> i
             }
         }
     }
-    let payload = payload.into_bytes();
-    write_header(w, frame_type::BATCH_RESPONSE, payload.len())?;
-    w.write_all(&payload)?;
+    w.write_all(&seal(frame_type::BATCH_RESPONSE, payload)?)?;
     w.flush()
 }
 

@@ -33,7 +33,7 @@
 
 use crate::pool::ThreadPool;
 use crate::protocol::{
-    self, encode_frame, frame_type, ErrorCode, Frame, StatsSnapshot, HEADER_LEN, MAGIC, VERSION,
+    self, encode_frame, frame_type, ErrorCode, Frame, StatsSnapshot, HEADER_LEN,
 };
 use crate::server::{
     answer, encode_batch_frame, error_chunks, follow_job, lock_recover, subscribe_job, AnswerBlob,
@@ -156,13 +156,10 @@ impl WriteChunk {
 /// `encode_frame` of that frame but borrowing the blobs.
 fn response_chunks(type_byte: u8, blob: &AnswerBlob) -> Vec<WriteChunk> {
     let (result_len, vo_len) = (blob.0.len(), blob.1.len());
-    // `answer` already bounded result+vo+8 by MAX_PAYLOAD.
-    let payload_len = (8 + result_len + vo_len) as u32;
+    let header = protocol::frame_header(type_byte, 8 + result_len + vo_len)
+        .expect("`answer` bounds result+vo+8 by MAX_PAYLOAD");
     let mut head = Vec::with_capacity(HEADER_LEN + 4);
-    head.extend_from_slice(&MAGIC);
-    head.push(VERSION);
-    head.push(type_byte);
-    head.extend_from_slice(&payload_len.to_le_bytes());
+    head.extend_from_slice(&header);
     head.extend_from_slice(&(result_len as u32).to_le_bytes());
     vec![
         WriteChunk::owned(head),

@@ -1,5 +1,6 @@
 //! Typed retry policy for the self-healing clients: capped exponential
-//! backoff with deterministic jitter.
+//! backoff with deterministic jitter, and `RetryPolicy::run`, the one
+//! retry loop every client role goes through.
 //!
 //! The policy is deliberately *typed into* each client rather than being a
 //! blanket wrapper: only operations that are safe to repeat get a retry
@@ -72,6 +73,26 @@ impl RetryPolicy {
         let mut rng = Rng64::new(substream(self.seed, "backoff", u64::from(attempt)));
         Duration::from_nanos(nanos / 2 + rng.below(nanos / 2))
     }
+
+    /// Runs `op(0)`, then up to `max_retries` retries `op(1..)`, each after
+    /// [`RetryPolicy::backoff`], while the error is `retryable`; returns
+    /// the last result. A retry (`attempt > 0`) is where a role reconnects.
+    pub(crate) fn run<T, E>(
+        &self,
+        retryable: fn(&E) -> bool,
+        mut op: impl FnMut(u32) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut attempt = 0;
+        loop {
+            match op(attempt) {
+                Err(e) if attempt < self.max_retries && retryable(&e) => {
+                    std::thread::sleep(self.backoff(attempt));
+                    attempt += 1;
+                }
+                done => return done,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -97,6 +118,41 @@ mod tests {
         }
         // High attempts stay at the ceiling's band.
         assert!(p.backoff(30) >= Duration::from_millis(50));
+    }
+
+    #[test]
+    fn run_retries_retryable_failures_within_the_budget() {
+        let p = RetryPolicy {
+            max_retries: 3,
+            base: Duration::ZERO,
+            ..RetryPolicy::default()
+        };
+        for k in 0..6 {
+            let mut calls = 0;
+            let out = p.run(
+                |retryable: &bool| *retryable,
+                |attempt| {
+                    assert_eq!(attempt, calls);
+                    calls += 1;
+                    if calls <= k {
+                        Err(true)
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
+            assert_eq!(calls, k.min(3) + 1, "{k} retryable failures");
+            assert_eq!(out.is_ok(), k <= 3);
+        }
+        let mut calls = 0;
+        let out: Result<(), bool> = p.run(
+            |retryable| *retryable,
+            |_| {
+                calls += 1;
+                Err(false)
+            },
+        );
+        assert_eq!((calls, out), (1, Err(false)), "a fatal error is final");
     }
 
     #[test]

@@ -264,6 +264,16 @@ pub(crate) struct SubEntry {
     pub(crate) kind: SubKind,
 }
 
+impl SubEntry {
+    /// Whether this is range subscription `sub_id` of connection
+    /// `(shard, token)`.
+    fn is_range(&self, shard: &Arc<ShardHandle>, token: u64, sub_id: u32) -> bool {
+        self.token == token
+            && Arc::ptr_eq(&self.shard, shard)
+            && matches!(self.kind, SubKind::Range { sub_id: s, .. } if s == sub_id)
+    }
+}
+
 /// Everything reactor shards and pool workers share.
 pub(crate) struct Inner {
     tables: RwLock<HashMap<u32, TableSlot>>,
@@ -302,11 +312,9 @@ impl Inner {
     /// still registered — checked at push *delivery* so no delta lands on
     /// the wire after an unsubscribe ack.
     pub(crate) fn sub_alive(&self, shard: &Arc<ShardHandle>, token: u64, sub_id: u32) -> bool {
-        lock_recover(&self.subs).iter().any(|e| {
-            e.token == token
-                && Arc::ptr_eq(&e.shard, shard)
-                && matches!(e.kind, SubKind::Range { sub_id: s, .. } if s == sub_id)
-        })
+        lock_recover(&self.subs)
+            .iter()
+            .any(|e| e.is_range(shard, token, sub_id))
     }
 
     /// Removes one range subscription (the `Unsubscribe` path). Returns
@@ -319,11 +327,7 @@ impl Inner {
     ) -> bool {
         let mut subs = lock_recover(&self.subs);
         let before = subs.len();
-        subs.retain(|e| {
-            !(e.token == token
-                && Arc::ptr_eq(&e.shard, shard)
-                && matches!(e.kind, SubKind::Range { sub_id: s, .. } if s == sub_id))
-        });
+        subs.retain(|e| !e.is_range(shard, token, sub_id));
         let removed = before != subs.len();
         if removed {
             self.stats.subscriptions.fetch_sub(1, Ordering::Relaxed);
@@ -689,11 +693,7 @@ pub(crate) fn subscribe_job(
         ));
     }
     let mut subs = lock_recover(&inner.subs);
-    if subs.iter().any(|e| {
-        e.token == token
-            && Arc::ptr_eq(&e.shard, shard)
-            && matches!(e.kind, SubKind::Range { sub_id: s, .. } if s == sub_id)
-    }) {
+    if subs.iter().any(|e| e.is_range(shard, token, sub_id)) {
         drop(subs);
         return complete(error_chunks(
             inner,
@@ -728,34 +728,17 @@ pub(crate) fn subscribe_job(
     // The registration response: one self-contained piece proving the
     // whole subscribed range right now. Deltas only refresh what later
     // batches dirty, so this is the subscriber's baseline.
-    let piece = match delta::build_delta_pieces(&st, &[(lo, hi)], lo, hi) {
-        Ok(pieces) => pieces,
+    let frame = match delta::build_delta_pieces(&st, &[(lo, hi)], lo, hi) {
+        Ok(pieces) => delta_frame(sub_id, epoch, pieces).map_err(|e| e.to_string()),
+        Err(e) => Err(e.to_string()),
+    };
+    let buf = match frame {
+        Ok(buf) => buf,
         Err(e) => {
             drop(subs);
-            return complete(error_chunks(inner, ErrorCode::Internal, e.to_string()));
+            return complete(error_chunks(inner, ErrorCode::Internal, e));
         }
     };
-    let pieces = piece
-        .into_iter()
-        .map(|p| protocol::DeltaPiece {
-            lo: p.lo,
-            hi: p.hi,
-            result: wire::encode_records(&p.records),
-            vo: wire::encode_vo(&p.vo),
-        })
-        .collect();
-    let mut buf = Vec::new();
-    if let Err(e) = protocol::write_frame(
-        &mut buf,
-        &Frame::DeltaVo {
-            sub_id,
-            epoch,
-            pieces,
-        },
-    ) {
-        drop(subs);
-        return complete(error_chunks(inner, ErrorCode::Internal, e.to_string()));
-    }
     subs.push(SubEntry {
         table_id,
         shard: Arc::clone(shard),
@@ -768,6 +751,25 @@ pub(crate) fn subscribe_job(
     inner.stats.subscriptions.fetch_add(1, Ordering::Relaxed);
     ServerStats::bump(&inner.stats.deltas_pushed);
     complete(vec![WriteChunk::owned(buf)]);
+}
+
+/// Encodes a [`Frame::DeltaVo`] carrying one self-contained
+/// `(result, vo)` proof per piece.
+fn delta_frame(sub_id: u32, epoch: u64, pieces: Vec<delta::DeltaPiece>) -> io::Result<Vec<u8>> {
+    let pieces = pieces
+        .into_iter()
+        .map(|p| protocol::DeltaPiece {
+            lo: p.lo,
+            hi: p.hi,
+            result: wire::encode_records(&p.records),
+            vo: wire::encode_vo(&p.vo),
+        })
+        .collect();
+    protocol::frame_bytes(&Frame::DeltaVo {
+        sub_id,
+        epoch,
+        pieces,
+    })
 }
 
 /// Pool job for a [`Frame::FollowLog`]: answers the handshake with either
@@ -836,11 +838,13 @@ pub(crate) fn follow_job(
             }
         },
     };
-    let mut buf = Vec::new();
-    if let Err(e) = protocol::write_frame(&mut buf, &response) {
-        drop(stores);
-        return complete(error_chunks(inner, ErrorCode::Internal, e.to_string()));
-    }
+    let buf = match protocol::frame_bytes(&response) {
+        Ok(buf) => buf,
+        Err(e) => {
+            drop(stores);
+            return complete(error_chunks(inner, ErrorCode::Internal, e.to_string()));
+        }
+    };
     {
         let mut subs = lock_recover(&inner.subs);
         subs.push(SubEntry {
@@ -888,9 +892,7 @@ pub(crate) fn fan_out(
                 ops: ops.to_vec(),
                 resigned: resigned.to_vec(),
             });
-            let mut buf = Vec::new();
-            protocol::write_frame(&mut buf, &Frame::LogSegment { table_id, records })
-                .map(|()| buf)
+            protocol::frame_bytes(&Frame::LogSegment { table_id, records })
                 .map_err(|_| ServerStats::bump(&inner.stats.errors))
                 .ok()
         })
@@ -928,27 +930,10 @@ pub(crate) fn fan_out(
                 if pieces.is_empty() {
                     continue;
                 }
-                let pieces = pieces
-                    .into_iter()
-                    .map(|p| protocol::DeltaPiece {
-                        lo: p.lo,
-                        hi: p.hi,
-                        result: wire::encode_records(&p.records),
-                        vo: wire::encode_vo(&p.vo),
-                    })
-                    .collect();
-                let mut buf = Vec::new();
-                let shipped = protocol::write_frame(
-                    &mut buf,
-                    &Frame::DeltaVo {
-                        sub_id,
-                        epoch,
-                        pieces,
-                    },
-                )
-                .is_ok()
-                    && buf.len() <= inner.max_push_bytes;
-                if shipped {
+                let frame = delta_frame(sub_id, epoch, pieces)
+                    .ok()
+                    .filter(|buf| buf.len() <= inner.max_push_bytes);
+                if let Some(buf) = frame {
                     ServerStats::bump(&inner.stats.deltas_pushed);
                     entry.shard.push(Msg::Push {
                         token: entry.token,
@@ -965,9 +950,7 @@ pub(crate) fn fan_out(
                     // a fresh verified baseline.
                     ServerStats::bump(&inner.stats.errors);
                     ServerStats::bump(&inner.stats.resyncs);
-                    let mut buf = Vec::new();
-                    if protocol::write_frame(&mut buf, &Frame::ResyncRequired { sub_id, epoch })
-                        .is_ok()
+                    if let Ok(buf) = protocol::frame_bytes(&Frame::ResyncRequired { sub_id, epoch })
                     {
                         // `sub_id: None`: the entry is being removed,
                         // so the delivery-time liveness check for
@@ -985,11 +968,9 @@ pub(crate) fn fan_out(
     }
     if !resynced.is_empty() {
         subs.retain(|e| {
-            !resynced.iter().any(|(shard, token, sid)| {
-                e.token == *token
-                    && Arc::ptr_eq(&e.shard, shard)
-                    && matches!(e.kind, SubKind::Range { sub_id: s, .. } if s == *sid)
-            })
+            !resynced
+                .iter()
+                .any(|(shard, token, sub_id)| e.is_range(shard, *token, *sub_id))
         });
         inner
             .stats
