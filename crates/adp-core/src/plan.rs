@@ -505,16 +505,31 @@ impl WirePlan {
     pub fn fingerprint(&self) -> Vec<u8> {
         encode_wire_plan(self)
     }
+
+    /// Appends the fingerprint to `buf`, reading a `Select`'s key range as
+    /// `range` when one is given (a server keys its cache on the range
+    /// normalized against the table's domain). Allocates only if `buf`
+    /// must grow.
+    pub fn fingerprint_into(&self, range: Option<&KeyRange>, buf: &mut Vec<u8>) {
+        let mut w = Writer::appending_to(std::mem::take(buf));
+        write_wire_plan(&mut w, self, range);
+        *buf = w.into_bytes();
+    }
 }
 
 /// Encodes a wire plan (tag `1` = Select, `2` = PkFkJoin).
 pub fn encode_wire_plan(plan: &WirePlan) -> Vec<u8> {
     let mut w = Writer::new();
+    write_wire_plan(&mut w, plan, None);
+    w.into_bytes()
+}
+
+fn write_wire_plan(w: &mut Writer, plan: &WirePlan, range: Option<&KeyRange>) {
     match plan {
         WirePlan::Select { table_id, query } => {
             w.u8(1);
             w.u32(*table_id);
-            w.bytes(&wire::encode_query(query));
+            w.prefixed(|w| wire::write_query(w, range.unwrap_or(&query.range), query));
         }
         WirePlan::PkFkJoin {
             fk_table,
@@ -526,13 +541,12 @@ pub fn encode_wire_plan(plan: &WirePlan) -> Vec<u8> {
             w.u8(2);
             w.u32(*fk_table);
             w.u32(*pk_table);
-            wire::write_key_bound(&mut w, &fk_range.lo);
-            wire::write_key_bound(&mut w, &fk_range.hi);
-            wire::write_projection(&mut w, fk_projection);
-            wire::write_projection(&mut w, pk_projection);
+            wire::write_key_bound(w, &fk_range.lo);
+            wire::write_key_bound(w, &fk_range.hi);
+            wire::write_projection(w, fk_projection);
+            wire::write_projection(w, pk_projection);
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes a wire plan; rejects trailing bytes.
@@ -1372,6 +1386,51 @@ mod tests {
             pk_projection: Projection::All,
         };
         assert!(decode_wire_plan(&encode_wire_plan(&wide)).is_err());
+    }
+
+    /// `fingerprint_into` appends exactly the bytes of `fingerprint`, of
+    /// the plan with its select range replaced when a range is given, and
+    /// stays inside the buffer it was handed once that is large enough.
+    #[test]
+    fn fingerprint_into_appends_the_one_encoding() {
+        let select = |range, filters: Vec<Predicate>| WirePlan::Select {
+            table_id: 7,
+            query: SelectQuery {
+                range,
+                filters,
+                projection: Projection::Columns(vec!["name".to_string()]),
+                distinct: true,
+            },
+        };
+        let tier = Predicate {
+            column: "tier".to_string(),
+            op: CompareOp::Eq,
+            value: Value::Text("gold".to_string()),
+        };
+        let asked = select(KeyRange::less_than(100), vec![tier.clone()]);
+        let closed = KeyRange::closed(2, 99);
+        let join = WirePlan::PkFkJoin {
+            fk_table: 1,
+            pk_table: 2,
+            fk_range: KeyRange::at_least(5),
+            fk_projection: Projection::All,
+            pk_projection: Projection::Columns(vec!["price".to_string()]),
+        };
+        let mut buf = b"head".to_vec();
+        asked.fingerprint_into(None, &mut buf);
+        assert_eq!(buf, [&b"head"[..], &asked.fingerprint()].concat());
+        buf.reserve(256);
+        for (plan, range, same_as) in [
+            (&asked, Some(&closed), select(closed, vec![tier])),
+            (&join, Some(&closed), join.clone()),
+            (&join, None, join.clone()),
+        ] {
+            buf.clear();
+            let capacity = buf.capacity();
+            plan.fingerprint_into(range, &mut buf);
+            assert_eq!(buf, same_as.fingerprint());
+            assert_eq!(buf.capacity(), capacity, "no reallocation");
+        }
     }
 
     #[test]

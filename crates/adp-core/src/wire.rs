@@ -53,6 +53,12 @@ impl Writer {
         Self::default()
     }
 
+    /// A writer appending to `buf`, whose capacity it keeps; hand the
+    /// buffer back with [`Writer::into_bytes`].
+    pub(crate) fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Consumes the writer, returning the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -95,6 +101,16 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends what `body` writes as a length-prefixed byte string, the
+    /// same bytes as [`Writer::bytes`] of it, without a buffer of its own.
+    pub(crate) fn prefixed(&mut self, body: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.u32(0);
+        body(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Appends a digest (`u8` length, then the digest bytes — digests are
     /// 16–32 bytes, so one length byte suffices and the Figure 9 accounting
     /// of `1 + M_digest/8` bytes per digest holds exactly).
@@ -106,7 +122,7 @@ impl Writer {
     /// Appends a [`Value`] in its canonical self-describing encoding,
     /// length-prefixed.
     pub fn value(&mut self, v: &Value) {
-        self.bytes(&v.encode());
+        self.prefixed(|w| v.encode_into(&mut w.buf));
     }
 }
 
@@ -793,17 +809,23 @@ fn compare_op_from_tag(tag: u8) -> Result<CompareOp, WireError> {
 /// ```
 pub fn encode_query(query: &SelectQuery) -> Vec<u8> {
     let mut w = Writer::new();
-    write_key_bound(&mut w, &query.range.lo);
-    write_key_bound(&mut w, &query.range.hi);
+    write_query(&mut w, &query.range, query);
+    w.into_bytes()
+}
+
+/// Writes `query` as [`encode_query`] does, with `range` in place of its
+/// own key range.
+pub(crate) fn write_query(w: &mut Writer, range: &KeyRange, query: &SelectQuery) {
+    write_key_bound(w, &range.lo);
+    write_key_bound(w, &range.hi);
     w.u32(query.filters.len() as u32);
     for f in &query.filters {
         w.bytes(f.column.as_bytes());
         w.u8(compare_op_tag(f.op));
         w.value(&f.value);
     }
-    write_projection(&mut w, &query.projection);
+    write_projection(w, &query.projection);
     w.u8(query.distinct as u8);
-    w.into_bytes()
 }
 
 pub(crate) fn write_projection(w: &mut Writer, projection: &Projection) {

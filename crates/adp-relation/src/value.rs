@@ -53,6 +53,12 @@ impl Value {
     /// hashing the encoding is collision-free across values.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`Value::encode`], appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Value::Int(v) => {
                 out.push(0x01);
@@ -71,7 +77,6 @@ impl Value {
                 out.push(*b as u8);
             }
         }
-        out
     }
 
     /// Size of the value on the wire, in bytes (payload + 1 type byte +

@@ -12,6 +12,7 @@
 //! and eviction are all O(1). No external crates — `std` only, like the
 //! rest of the server.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -69,8 +70,13 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         self.capacity
     }
 
-    /// Looks up `key`, marking the entry most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Looks up `key` (any borrowed form of `K`, so a `Vec<u8>` key can be
+    /// probed with a `&[u8]`), marking the entry most-recently-used on a hit.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         let idx = *self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);

@@ -6,20 +6,25 @@
 //! the (non-blocking) listener and hands accepted sockets out round-robin.
 //! The division of labor is strict:
 //!
-//! * **Shards do I/O only** — non-blocking reads into a per-connection
-//!   reassembly buffer, frame parsing, non-blocking writes out of a
-//!   bounded per-connection chunk queue, timeouts. Cheap frames (`Ping`,
-//!   `StatsRequest`) are answered in place.
-//! * **Workers do crypto** — `QueryRequest`/`PlannedQuery` frames and
-//!   `BatchRequest` items, all [`WirePlan`]s once parsed, run on the
-//!   shared [`ThreadPool`]; the finished answer comes back to the
-//!   owning shard as a [`Msg::Complete`] through the shard's injection
-//!   queue plus a wake byte on its socketpair.
+//! * **Shards do I/O and nothing that computes an answer** — non-blocking
+//!   reads into a per-connection reassembly buffer, frame parsing,
+//!   vectored non-blocking writes out of a bounded per-connection chunk
+//!   queue, timeouts. Cheap frames (`Ping`, `StatsRequest`) are answered
+//!   in place, and so is a `QueryRequest`/`PlannedQuery` whose answer the
+//!   VO cache already holds at its tables' current epochs: the shard
+//!   probes the cache with a key written into a buffer it reuses and
+//!   queues the cached blobs, with no pool job and no allocation for the
+//!   key.
+//! * **Workers do crypto** — every other query and every `BatchRequest`
+//!   item, all [`WirePlan`]s once parsed, run on the shared
+//!   [`ThreadPool`]; the finished answer comes back to the owning shard as
+//!   a [`Msg::Complete`] through the shard's injection queue plus a wake
+//!   byte on its socketpair.
 //!
 //! Per-connection ordering matches the old thread-per-connection server
 //! exactly: parsed requests queue in arrival order and at most one query
 //! or batch is in flight per connection, so replies leave in request
-//! order even when a `Ping` trails a slow query.
+//! order even when a `Ping` or a cache hit trails a slow query.
 //!
 //! Backpressure is byte-based: once a connection's write queue exceeds
 //! [`ServerConfig::write_queue_limit`], the shard stops reading from it
@@ -36,15 +41,15 @@ use crate::protocol::{
     self, encode_frame, frame_type, ErrorCode, Frame, StatsSnapshot, HEADER_LEN,
 };
 use crate::server::{
-    answer, encode_batch_frame, error_chunks, follow_job, lock_recover, subscribe_job, AnswerBlob,
-    BatchAnswer, Inner, ServerConfig, ServerStats,
+    answer, cached_answer, encode_batch_frame, error_chunks, follow_job, lock_recover,
+    subscribe_job, AnswerBlob, BatchAnswer, Inner, ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use adp_core::plan::WirePlan;
 use adp_relation::SelectQuery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -66,6 +71,11 @@ const PENDING_CAP: usize = 64;
 const READ_CHUNK: usize = 64 * 1024;
 /// Epoll events collected per wakeup.
 const EVENT_BATCH: usize = 256;
+/// Queued chunks handed to one vectored write.
+const IOV_BATCH: usize = 64;
+/// A cache-key buffer grown past this by an outsized query is released
+/// rather than kept for the shard's lifetime.
+const KEY_KEEP: usize = 4096;
 /// How long a failing listener stays out of epoll before accepts retry.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
@@ -215,6 +225,9 @@ struct Conn {
     interest: u32,
     /// Unparsed inbound bytes (partial frames reassemble here).
     buf: Vec<u8>,
+    /// A frame boundary in `buf` up to which every frame is known to be
+    /// complete (see [`tail_partial`]).
+    walked: usize,
     /// Deadline for completing the frame currently being reassembled.
     frame_deadline: Option<Instant>,
     /// Last time bytes moved in either direction.
@@ -302,6 +315,8 @@ pub(crate) struct Shard {
     rr: usize,
     wake: UnixStream,
     scratch: Vec<u8>,
+    /// The VO-cache key of the query being probed, reused across queries.
+    key: Vec<u8>,
 }
 
 /// What [`spawn_shards`] hands back to the server: one handle per shard
@@ -361,6 +376,7 @@ pub(crate) fn spawn_shards(
             rr: i,
             wake,
             scratch: vec![0u8; READ_CHUNK],
+            key: Vec::new(),
         };
         threads.push(
             std::thread::Builder::new()
@@ -538,7 +554,7 @@ impl Shard {
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.read_closed = true;
-                pump(&self.core, conn, token);
+                pump(&self.core, conn, token, &mut self.key);
                 write_some(&self.core, conn);
             }
             self.epilogue(token);
@@ -579,6 +595,7 @@ impl Shard {
                 stream,
                 interest,
                 buf: Vec::new(),
+                walked: 0,
                 frame_deadline: None,
                 last_activity: Instant::now(),
                 pending: VecDeque::new(),
@@ -609,7 +626,7 @@ impl Shard {
                 if events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
                     read_and_parse(&self.core, conn, &mut self.scratch);
                 }
-                pump(&self.core, conn, token);
+                pump(&self.core, conn, token, &mut self.key);
                 write_some(&self.core, conn);
             }
         }
@@ -632,7 +649,7 @@ impl Shard {
                         conn.inflight = false;
                         push_chunks(&self.core, conn, chunks);
                         write_some(&self.core, conn);
-                        pump(&self.core, conn, token);
+                        pump(&self.core, conn, token, &mut self.key);
                         write_some(&self.core, conn);
                     }
                     self.epilogue(token);
@@ -802,21 +819,32 @@ fn push_chunks(core: &ShardCore, conn: &mut Conn, chunks: Vec<WriteChunk>) {
     conn.write_q.extend(chunks);
 }
 
-/// Writes queued chunks until the socket would block or the queue empties.
+/// Writes queued chunks until the socket would block or the queue empties,
+/// up to [`IOV_BATCH`] chunks per vectored write.
 fn write_some(core: &ShardCore, conn: &mut Conn) {
-    while let Some(front) = conn.write_q.front_mut() {
-        let remaining = front.remaining();
-        if remaining.is_empty() {
-            conn.write_q.pop_front();
-            continue;
+    loop {
+        let mut iov = [IoSlice::new(&[]); IOV_BATCH];
+        let mut k = 0;
+        for bytes in conn.write_q.iter().map(WriteChunk::remaining) {
+            if k == IOV_BATCH {
+                break;
+            }
+            if !bytes.is_empty() {
+                iov[k] = IoSlice::new(bytes);
+                k += 1;
+            }
         }
-        match conn.stream.write(remaining) {
+        if k == 0 {
+            conn.write_q.clear(); // nothing but empty chunks
+            return;
+        }
+        match conn.stream.write_vectored(&iov[..k]) {
             Ok(0) => {
                 conn.dead = true;
                 return;
             }
             Ok(n) => {
-                front.pos += n;
+                advance(&mut conn.write_q, n);
                 conn.queued_bytes -= n;
                 core.inner
                     .stats
@@ -832,6 +860,22 @@ fn write_some(core: &ShardCore, conn: &mut Conn) {
             }
         }
     }
+}
+
+/// Consumes `n` written bytes from the front of the queue: drops each
+/// chunk they finish and each empty chunk they reach, and moves `pos`
+/// within the chunk where they stop.
+fn advance(q: &mut VecDeque<WriteChunk>, mut n: usize) {
+    while let Some(front) = q.front_mut() {
+        let left = front.len() - front.pos;
+        if n < left {
+            front.pos += n;
+            return;
+        }
+        n -= left;
+        q.pop_front();
+    }
+    debug_assert_eq!(n, 0, "wrote more than was queued");
 }
 
 /// Reads until the socket would block (or backpressure pauses reads),
@@ -940,14 +984,15 @@ fn parse_frames(core: &ShardCore, conn: &mut Conn) {
         }
     }
     conn.buf.drain(..consumed);
+    conn.walked = conn.walked.max(consumed) - consumed;
     // The frame deadline covers exactly one reassembling frame: armed
     // when a partial frame is waiting for its tail — even behind complete
-    // frames the pending cap held back, which is why the tail is scanned
+    // frames the pending cap held back, which is why the tail is walked
     // rather than inferred from how the loop exited — reset whenever a
     // frame completed (the clock restarts per frame), cleared otherwise.
     // Complete-but-unparsed frames held back by the pending cap are the
     // client doing nothing wrong and get no deadline themselves.
-    let partial = !conn.read_dead && tail_partial(&conn.buf);
+    let partial = !conn.read_dead && tail_partial(&conn.buf, &mut conn.walked);
     conn.frame_deadline = if !partial {
         None
     } else if consumed > 0 || conn.frame_deadline.is_none() {
@@ -957,21 +1002,22 @@ fn parse_frames(core: &ShardCore, conn: &mut Conn) {
     };
 }
 
-/// Whether the buffer ends mid-frame: walks the complete (parsed-or-not)
-/// frames at the front and reports a trailing fragment. A malformed
-/// header stops the walk — that is a protocol error surfacing on the next
-/// parse, not a frame reassembling.
-fn tail_partial(buf: &[u8]) -> bool {
-    let mut off = 0;
+/// Whether the buffer ends mid-frame. Walks whole frames from `*walked`,
+/// a frame boundary up to which every frame is known to be complete, and
+/// leaves it at the last boundary reached: a later call resumes there, so
+/// frames the pending cap holds back are walked once, not once per round.
+/// A malformed header stops the walk — that is a protocol error surfacing
+/// on the next parse, not a frame reassembling.
+fn tail_partial(buf: &[u8], walked: &mut usize) -> bool {
     loop {
-        let avail = buf.len() - off;
+        let avail = buf.len() - *walked;
         if avail == 0 {
             return false;
         }
         if avail < HEADER_LEN {
             return true;
         }
-        let header: [u8; HEADER_LEN] = buf[off..off + HEADER_LEN]
+        let header: [u8; HEADER_LEN] = buf[*walked..*walked + HEADER_LEN]
             .try_into()
             .expect("slice length is HEADER_LEN");
         let Ok((_, declared)) = protocol::parse_header(&header) else {
@@ -981,7 +1027,7 @@ fn tail_partial(buf: &[u8]) -> bool {
         if avail < total {
             return true;
         }
-        off += total;
+        *walked += total;
     }
 }
 
@@ -992,9 +1038,9 @@ fn tail_partial(buf: &[u8]) -> bool {
 /// those frames must then be re-parsed here — no further read event will
 /// arrive to do it (the socket is already drained). The same resumption
 /// applies after a backpressure pause lifts or an in-flight answer lands.
-fn pump(core: &ShardCore, conn: &mut Conn, token: u64) {
+fn pump(core: &ShardCore, conn: &mut Conn, token: u64, key: &mut Vec<u8>) {
     loop {
-        dispatch(core, conn, token);
+        dispatch(core, conn, token, key);
         if conn.inflight
             || conn.dead
             || conn.read_dead
@@ -1013,23 +1059,28 @@ fn pump(core: &ShardCore, conn: &mut Conn, token: u64) {
     }
 }
 
-/// [`answer`] with a panic guard. The pool's own `catch_unwind` keeps the
-/// worker thread alive, but a panic escaping the job still swallows the
-/// completion message — the connection's in-flight marker then never
-/// clears and its request FIFO wedges forever. Catching here turns a
-/// panicking query (a publisher bug, a poisoned-and-recovered structure in
-/// a weird state) into an ordinary per-query error that completes back to
-/// the shard like any other. (The join path in particular panics on a
-/// referential-integrity violation between the two served tables.)
-fn answer_guarded(inner: &Inner, plan: &WirePlan) -> Result<AnswerBlob, (ErrorCode, String)> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(inner, plan)))
+/// Runs one step of answering a query with a panic guard. On the pool
+/// ([`answer`]): the pool's own `catch_unwind` keeps the worker thread
+/// alive, but a panic escaping the job still swallows the completion
+/// message — the connection's in-flight marker then never clears and its
+/// request FIFO wedges forever. On a shard ([`cached_answer`]): a panic
+/// would end the shard thread and every connection it serves. Catching
+/// here turns a panicking query (a publisher bug, a poisoned-and-recovered
+/// structure in a weird state) into an ordinary per-query error. (The join
+/// path in particular panics on a referential-integrity violation between
+/// the two served tables.)
+fn guarded<T>(
+    step: impl FnOnce() -> Result<T, (ErrorCode, String)>,
+) -> Result<T, (ErrorCode, String)> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(step))
         .unwrap_or_else(|_| Err((ErrorCode::Internal, "query panicked".into())))
 }
 
-/// Drains the connection's request FIFO: cheap frames answer in place;
-/// a query or batch goes to the worker pool and marks the connection
-/// in-flight, parking the FIFO until the answer completes back.
-fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
+/// Drains the connection's request FIFO: cheap frames and fresh VO-cache
+/// hits answer in place; any other query, and every batch, goes to the
+/// worker pool and marks the connection in-flight, parking the FIFO until
+/// the answer completes back. `key` is the shard's cache-key buffer.
+fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64, key: &mut Vec<u8>) {
     while !conn.inflight && !conn.close_after_flush && !conn.dead {
         if conn.queued_bytes > core.cfg.write_queue_limit {
             return; // backpressure: resume once the client drains
@@ -1064,11 +1115,26 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                 conn.close_after_flush = true;
             }
             Req::Query { response, plan } => {
+                let probe = guarded(|| Ok(cached_answer(&core.inner, &plan, key)));
+                if key.capacity() > KEY_KEEP {
+                    *key = Vec::new();
+                }
+                match probe {
+                    Ok(Some(blob)) => {
+                        push_chunks(core, conn, response_chunks(response, &blob));
+                        continue;
+                    }
+                    Err((code, message)) => {
+                        push_chunks(core, conn, error_chunks(&core.inner, code, message));
+                        continue;
+                    }
+                    Ok(None) => {}
+                }
                 conn.inflight = true;
                 let inner = Arc::clone(&core.inner);
                 let shard = Arc::clone(&core.me);
                 core.pool.execute(move || {
-                    let chunks = match answer_guarded(&inner, &plan) {
+                    let chunks = match guarded(|| answer(&inner, &plan)) {
                         Ok(blob) => response_chunks(response, &blob),
                         Err((code, message)) => error_chunks(&inner, code, message),
                     };
@@ -1135,7 +1201,7 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                 for (index, plan) in items.into_iter().enumerate() {
                     let state = Arc::clone(&state);
                     core.pool.execute(move || {
-                        let item = answer_guarded(&state.inner, &plan);
+                        let item = guarded(|| answer(&state.inner, &plan));
                         if item.is_err() {
                             ServerStats::bump(&state.inner.stats.errors);
                         }
@@ -1159,5 +1225,84 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queue(chunks: &[&[u8]]) -> VecDeque<WriteChunk> {
+        chunks
+            .iter()
+            .map(|c| WriteChunk::owned(c.to_vec()))
+            .collect()
+    }
+
+    /// What is left to write, chunk by chunk.
+    fn left(q: &VecDeque<WriteChunk>) -> Vec<&[u8]> {
+        q.iter().map(WriteChunk::remaining).collect()
+    }
+
+    #[test]
+    fn advance_moves_across_chunk_boundaries() {
+        // Stops mid-chunk, then resumes from there.
+        let mut q = queue(&[b"abcde", b"fgh"]);
+        advance(&mut q, 2);
+        assert_eq!(left(&q), [&b"cde"[..], b"fgh"]);
+        advance(&mut q, 1);
+        assert_eq!(left(&q), [&b"de"[..], b"fgh"]);
+        // Stops exactly on a boundary: the finished chunk goes.
+        advance(&mut q, 2);
+        assert_eq!(left(&q), [&b"fgh"[..]]);
+        // Spans several chunks and stops inside the last one.
+        let mut q = queue(&[b"ab", b"cde", b"f", b"ghij"]);
+        advance(&mut q, 7);
+        assert_eq!(left(&q), [&b"hij"[..]]);
+        advance(&mut q, 3);
+        assert!(q.is_empty());
+        // Empty chunks are dropped wherever the write reaches them: in
+        // front, between written chunks and right behind the stop.
+        let mut q = queue(&[b"", b"ab", b"", b"", b"cd", b"", b"ef"]);
+        advance(&mut q, 0);
+        assert_eq!(left(&q), [&b"ab"[..], b"", b"", b"cd", b"", b"ef"]);
+        advance(&mut q, 4);
+        assert_eq!(left(&q), [&b"ef"[..]]);
+        // A partially written chunk keeps its position.
+        let mut q = queue(&[b"abc"]);
+        q[0].pos = 1;
+        advance(&mut q, 1);
+        assert_eq!(left(&q), [&b"c"[..]]);
+    }
+
+    #[test]
+    fn tail_partial_walks_each_frame_once() {
+        let ping = encode_frame(&Frame::Ping);
+        let query = encode_frame(&Frame::QueryRequest {
+            table_id: 0,
+            query: SelectQuery::range(adp_relation::KeyRange::all()),
+        });
+        let partial = |buf: &[u8]| tail_partial(buf, &mut 0);
+        // Empty buffer and exact frames: nothing reassembling.
+        assert!(!partial(&[]));
+        let exact = [ping.clone(), query.clone(), ping.clone()].concat();
+        assert!(!partial(&exact));
+        // A fragment inside a header, and inside a payload.
+        assert!(partial(&[&exact[..], &query[..3]].concat()));
+        assert!(partial(&[&exact[..], &query[..HEADER_LEN + 1]].concat()));
+        // A malformed header is a protocol error, not a reassembling frame.
+        assert!(!partial(&[0xff; HEADER_LEN]));
+        // Frames the pending cap holds back, then a fragment: the walk
+        // stops at the fragment's boundary and resumes there.
+        let held: Vec<u8> = (0..PENDING_CAP + 6).flat_map(|_| ping.clone()).collect();
+        let mut buf = [&held[..], &query[..5]].concat();
+        let mut walked = 0;
+        assert!(tail_partial(&buf, &mut walked));
+        assert_eq!(walked, held.len());
+        assert!(tail_partial(&buf, &mut walked));
+        assert_eq!(walked, held.len());
+        buf.extend_from_slice(&query[5..]);
+        assert!(!tail_partial(&buf, &mut walked));
+        assert_eq!(walked, buf.len());
     }
 }

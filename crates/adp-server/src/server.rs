@@ -14,9 +14,11 @@
 //!   the non-blocking listener and connection sockets: frame reassembly,
 //!   bounded write queues with backpressure, idle/frame timeouts. Thread
 //!   count is bounded by shards + workers, never by connection count.
-//! * a shared **worker pool** runs every query and batch item (the crypto
-//!   is never on a reactor thread); answers complete back to the owning
-//!   shard, which writes them in request order per connection.
+//! * a shared **worker pool** runs every query the VO cache cannot answer
+//!   fresh, and every batch item (the crypto is never on a reactor
+//!   thread); answers complete back to the owning shard, which writes them
+//!   in request order per connection. A fresh cache hit is answered in
+//!   place by the shard that read the request.
 //!
 //! The **VO cache** is an LRU keyed on the plan's canonical fingerprint: a
 //! select's key range is normalized against the table's domain first (so
@@ -32,6 +34,7 @@ use crate::pool::ThreadPool;
 use crate::protocol::{self, ErrorCode, Frame, StatsSnapshot};
 use crate::reactor::{self, Msg, ShardHandle, WriteChunk};
 use adp_core::delta;
+use adp_core::domain::Domain;
 use adp_core::owner::{Mutation, SignedTable};
 use adp_core::plan::{
     compute_plan_answer, encode_plan_answer, PlanAnswer, PlanAnswerError, WirePlan,
@@ -206,9 +209,10 @@ struct TableSlot {
 }
 
 /// A cached answer, valid only while every table its plan touches stays
-/// at the epoch recorded here (in the plan's table order).
+/// at the epoch recorded here (in the plan's table order; a `Select`
+/// leaves the second slot 0).
 struct CachedAnswer {
-    epochs: Vec<u64>,
+    epochs: [u64; 2],
     blob: AnswerBlob,
 }
 
@@ -350,8 +354,9 @@ impl Inner {
     }
 }
 
-/// The cache key: the plan's canonical fingerprint, with a `Select`'s
-/// range replaced by its domain-normalized closed form so syntactically
+/// Writes the cache key into `key` (cleared first): the plan's canonical
+/// fingerprint, with a `Select`'s range replaced by its domain-normalized
+/// closed form (`domain` is the plan's first table's) so syntactically
 /// different ranges with identical semantics share an entry.
 /// Trivially-empty ranges collapse to one key per (filters, projection,
 /// distinct) combination, marked by the unbounded range — a non-empty
@@ -362,25 +367,62 @@ impl Inner {
 /// and a `PlannedQuery{Select}` for one canonical query share an entry.
 /// Two *distinct* plans over the same key range (different filters,
 /// projection, DISTINCT, or shape) never do — their fingerprints differ.
-fn cache_key(plan: &WirePlan, served: &[(u32, Arc<SignedTable>)]) -> Vec<u8> {
-    match plan {
-        WirePlan::Select { table_id, query } => {
-            let range = served[0]
-                .1
-                .domain()
+/// Allocates only if `key` must grow.
+fn cache_key_into(plan: &WirePlan, domain: &Domain, key: &mut Vec<u8>) {
+    let range = match plan {
+        WirePlan::Select { query, .. } => Some(
+            domain
                 .normalize(&query.range)
-                .map_or(KeyRange::all(), |b| KeyRange::closed(b.alpha, b.beta));
-            WirePlan::Select {
-                table_id: *table_id,
-                query: SelectQuery {
-                    range,
-                    ..query.clone()
-                },
-            }
-            .fingerprint()
-        }
-        WirePlan::PkFkJoin { .. } => plan.fingerprint(),
+                .map_or(KeyRange::all(), |b| KeyRange::closed(b.alpha, b.beta)),
+        ),
+        WirePlan::PkFkJoin { .. } => None,
+    };
+    key.clear();
+    plan.fingerprint_into(range.as_ref(), key);
+}
+
+/// The tables a plan reads, in plan order: `ids[..n]`.
+fn plan_tables(plan: &WirePlan) -> ([u32; 2], usize) {
+    match plan {
+        WirePlan::Select { table_id, .. } => ([*table_id, 0], 1),
+        WirePlan::PkFkJoin {
+            fk_table, pk_table, ..
+        } => ([*fk_table, *pk_table], 2),
     }
+}
+
+/// The VO cache, unless it is off or a tamper hook is mounted (forged and
+/// honest answers must never mix).
+fn live_cache(inner: &Inner) -> Option<&Mutex<LruCache<Vec<u8>, CachedAnswer>>> {
+    inner.cache.as_ref().filter(|_| inner.tamper.is_none())
+}
+
+/// The reactor's probe: a fresh cached answer to `plan`, counted as a hit
+/// and a query, or `None`, which leaves everything — the miss, a stale
+/// entry, an unknown table — to [`answer`] on the pool, counted there.
+/// `key` is the caller's reusable buffer, so a probe allocates nothing.
+pub(crate) fn cached_answer(
+    inner: &Inner,
+    plan: &WirePlan,
+    key: &mut Vec<u8>,
+) -> Option<AnswerBlob> {
+    let cache = live_cache(inner)?;
+    let (ids, n) = plan_tables(plan);
+    let mut epochs = [0; 2];
+    {
+        let tables = read_recover(&inner.tables);
+        for (epoch, id) in epochs.iter_mut().zip(&ids[..n]) {
+            *epoch = tables.get(id)?.epoch;
+        }
+        cache_key_into(plan, tables.get(&ids[0])?.st.domain(), key);
+    }
+    let mut cache = lock_recover(cache);
+    let hit = cache
+        .get(key.as_slice())
+        .filter(|hit| hit.epochs == epochs)?;
+    ServerStats::bump(&inner.stats.cache_hits);
+    ServerStats::bump(&inner.stats.queries);
+    Some(Arc::clone(&hit.blob))
 }
 
 /// Answers one query — a select or a pk-fk join, from whichever frame:
@@ -390,27 +432,24 @@ fn cache_key(plan: &WirePlan, served: &[(u32, Arc<SignedTable>)]) -> Vec<u8> {
 /// (one of its tables was updated since) is dropped lazily here and
 /// counted as an invalidation.
 pub(crate) fn answer(inner: &Inner, plan: &WirePlan) -> Result<AnswerBlob, (ErrorCode, String)> {
-    let ids = match plan {
-        WirePlan::Select { table_id, .. } => vec![*table_id],
-        WirePlan::PkFkJoin {
-            fk_table, pk_table, ..
-        } => vec![*fk_table, *pk_table],
-    };
+    let (ids, n) = plan_tables(plan);
     let unknown = |id: u32| (ErrorCode::UnknownTable, format!("no table with id {id}"));
-    let mut served = Vec::with_capacity(ids.len());
-    let mut epochs = Vec::with_capacity(ids.len());
+    let mut served = Vec::with_capacity(n);
+    let mut epochs = [0; 2];
     {
         let tables = read_recover(&inner.tables);
-        for id in ids {
+        for (epoch, &id) in epochs.iter_mut().zip(&ids[..n]) {
             let slot = tables.get(&id).ok_or_else(|| unknown(id))?;
             served.push((id, Arc::clone(&slot.st)));
-            epochs.push(slot.epoch);
+            *epoch = slot.epoch;
         }
     }
-    // The cache is consulted iff it is configured and no tamper hook is
-    // mounted (forged and honest answers must never mix).
-    let cache = inner.cache.as_ref().filter(|_| inner.tamper.is_none());
-    let key = cache.map(|_| cache_key(plan, &served));
+    let cache = live_cache(inner);
+    let key = cache.map(|_| {
+        let mut key = Vec::new();
+        cache_key_into(plan, served[0].1.domain(), &mut key);
+        key
+    });
     if let (Some(cache), Some(key)) = (cache, &key) {
         let mut cache = lock_recover(cache);
         match cache.get(key) {
@@ -1291,6 +1330,65 @@ mod tests {
         let again = answer(&inner, &others[2]).unwrap();
         assert!(blobs.iter().any(|b| Arc::ptr_eq(b, &again)));
         assert_eq!(inner.snapshot().cache_hits, 2);
+    }
+
+    /// The reactor's probe serves exactly the fresh hits `answer` would
+    /// serve, under the same key and freshness rule, and counts only them:
+    /// a miss, a stale entry, an unknown table or a mounted tamper hook is
+    /// left to `answer`, uncounted. Its key buffer is reused, not regrown.
+    #[test]
+    fn probe_serves_and_counts_only_fresh_hits() {
+        let mut inner = test_inner();
+        let mut key = Vec::new();
+        let plans = [
+            select(0, SelectQuery::range(KeyRange::less_than(100))),
+            join(KeyRange::closed(0, 99)),
+        ];
+        let spelled_otherwise = select(0, SelectQuery::range(KeyRange::closed(0, 99)));
+        for plan in &plans {
+            assert!(cached_answer(&inner, plan, &mut key).is_none());
+        }
+        assert!(cached_answer(
+            &inner,
+            &select(9, SelectQuery::range(KeyRange::all())),
+            &mut key
+        )
+        .is_none());
+        let snap = inner.snapshot();
+        assert_eq!(
+            (snap.cache_misses, snap.cache_hits, snap.queries),
+            (0, 0, 0)
+        );
+
+        let blobs: Vec<_> = plans.iter().map(|p| answer(&inner, p).unwrap()).collect();
+        let capacity = key.capacity();
+        for (plan, blob) in [&spelled_otherwise, &plans[1]].into_iter().zip(&blobs) {
+            let hit = cached_answer(&inner, plan, &mut key).expect("fresh hit");
+            assert!(Arc::ptr_eq(&hit, blob));
+        }
+        assert_eq!(key.capacity(), capacity, "the key buffer is reused");
+        let snap = inner.snapshot();
+        assert_eq!(
+            (snap.cache_misses, snap.cache_hits, snap.queries),
+            (2, 2, 4)
+        );
+
+        // Table 0 moves on: both entries are stale, left to `answer`.
+        write_recover(&inner.tables).get_mut(&0).unwrap().epoch += 1;
+        for plan in &plans {
+            assert!(cached_answer(&inner, plan, &mut key).is_none());
+        }
+        assert_eq!(inner.snapshot().invalidations, 0);
+        for plan in &plans {
+            answer(&inner, plan).unwrap();
+        }
+        let snap = inner.snapshot();
+        assert_eq!((snap.invalidations, snap.cache_misses), (2, 4));
+        assert!(cached_answer(&inner, &plans[0], &mut key).is_some());
+
+        // A tamper hook turns the probe off, fresh entry or not.
+        inner.tamper = Some(Box::new(|_, _, answer| answer));
+        assert!(cached_answer(&inner, &plans[0], &mut key).is_none());
     }
 
     /// Regression for the two freshness schemes: a cached *planned* answer

@@ -228,9 +228,11 @@ fn non_draining_client_is_reaped() {
     handle.shutdown();
 }
 
-/// Pipelining: four frames in one write come back as four replies in
-/// request order, even though queries detour through the worker pool
-/// while pings and stats are answered on the reactor.
+/// Pipelining: six frames in one write come back as six replies in
+/// request order, even though a miss detours through the worker pool
+/// while pings, stats and cache hits are answered on the reactor. The
+/// second query hits the entry the first one (still in flight when it
+/// arrives) inserts, and must not overtake it.
 #[test]
 fn pipelined_requests_answered_in_order() {
     let handle = serve(ServerConfig::default());
@@ -239,24 +241,39 @@ fn pipelined_requests_answered_in_order() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
-    let mut burst = encode_frame(&Frame::Ping);
-    burst.extend_from_slice(&encode_frame(&Frame::QueryRequest {
+    let query = encode_frame(&Frame::QueryRequest {
         table_id: 0,
         query: SelectQuery::range(KeyRange::all()),
-    }));
+    });
+    let mut burst = encode_frame(&Frame::Ping);
+    burst.extend_from_slice(&query);
+    burst.extend_from_slice(&encode_frame(&Frame::Ping));
+    burst.extend_from_slice(&query);
     burst.extend_from_slice(&encode_frame(&Frame::Ping));
     burst.extend_from_slice(&encode_frame(&Frame::StatsRequest));
     stream.write_all(&burst).unwrap();
     stream.flush().unwrap();
 
     assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);
+    let first = match read_frame(&mut stream).unwrap() {
+        Frame::QueryResponse { result, vo } => {
+            assert!(!result.is_empty());
+            (result, vo)
+        }
+        other => panic!("expected QueryResponse, got {other:?}"),
+    };
+    assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);
     match read_frame(&mut stream).unwrap() {
-        Frame::QueryResponse { result, .. } => assert!(!result.is_empty()),
+        Frame::QueryResponse { result, vo } => assert_eq!((result, vo), first),
         other => panic!("expected QueryResponse, got {other:?}"),
     }
     assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);
     match read_frame(&mut stream).unwrap() {
-        Frame::StatsResponse(stats) => assert_eq!(stats.queries, 1),
+        Frame::StatsResponse(stats) => {
+            assert_eq!(stats.queries, 2);
+            assert_eq!(stats.cache_misses, 1);
+            assert_eq!(stats.cache_hits, 1);
+        }
         other => panic!("expected StatsResponse, got {other:?}"),
     }
     handle.shutdown();
